@@ -153,7 +153,11 @@ class BenchArtifact:
 
     def lookup(self, path: str) -> Optional[float]:
         """Resolve a dotted metric path (``ppa.fclk_mhz``, ``wall_s_total``,
-        ``counters.f2f_vias``, ``stages.global_route.wall_s``) to a number.
+        ``counters.f2f_vias``, ``stages.route.wall_s``) to a number.
+
+        ``stages`` are the flow's root stages (the names of its stage
+        chain and of ``repro cache stats`` ``by_stage``); a nested span
+        such as ``global_route`` resolves to ``None``.
         """
         parts = path.split(".")
         if parts[0] == "stages" and len(parts) == 3:

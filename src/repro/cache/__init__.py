@@ -1,11 +1,17 @@
 """Content-addressed incremental stage cache (``repro.cache``).
 
-Every flow stage boundary (build_tile → floorplan → global_place →
-legalize → global_route → layer_assign → cts → extract → sta → verify,
-plus the pseudo/partition stages of S2D and C2D) is a cacheable unit:
-its key hashes the canonical inputs — netlist content, tech preset,
-flow name, the stage's own knobs, and the upstream stage key — and its
-value is the cumulative flow state checkpoint at that boundary.
+Every root stage of a flow is one cacheable unit: build_tile →
+floorplan → place → route → cts → signoff → verify for 2D (7 stages);
+Macro-3D has project_mol in place of floorplan and adds separate_dies
+before verify (8); S2D and C2D run build_tile → floorplan →
+pseudo_place → pseudo_route → pseudo_extract → tier_partition →
+overlap_fix → f2f_plan → reroute → cts → signoff → verify (12).  A
+stage's key hashes the canonical inputs — package source, netlist
+content, tech preset, flow name, the stage's own knobs, and the
+upstream stage key — and its value is the cumulative flow state
+checkpoint at that boundary.  The same stage names are the trace's
+root spans, a bench artifact's ``stages`` and ``repro cache stats``
+``by_stage`` keys.
 
 A repeat run becomes a chain of cache hits that collapses to one
 unpickle of the deepest checkpoint; a partially-edited request (say,
@@ -26,7 +32,6 @@ Three layers:
 """
 
 from repro.cache.keys import (
-    CACHE_EPOCH,
     UnhashableInputError,
     canonical_fingerprint,
     chain_key,
@@ -48,7 +53,6 @@ from repro.cache.store import (
 from repro.cache.chain import StageChain
 
 __all__ = [
-    "CACHE_EPOCH",
     "CACHE_SCHEMA",
     "CacheError",
     "CacheStats",

@@ -1,6 +1,7 @@
 """StageChain: the flow-side protocol of the stage cache.
 
-A flow run is a linear sequence of stage boundaries.  The chain walks
+A flow run is a linear sequence of root stages, one cache boundary
+each (one key, one metric journal, one checkpoint).  The chain walks
 them in order, maintaining two things:
 
 - the **running key** — each ``run()`` chains the stage name + knobs
@@ -18,10 +19,11 @@ the first miss that actually needs upstream state, or when the flow
 reads :attr:`state` at the end.  A fully-warm run therefore costs one
 unpickle (the deepest checkpoint) plus journal replays.
 
-With no ambient cache (:func:`~repro.cache.store.active_cache` is
-None) every ``run()`` degrades to a plain function call: no hashing,
-no spans, no I/O — the flows behave exactly as before this subsystem
-existed.
+Every ``run()`` opens the stage's span, so a flow's root spans are its
+chain stages whether or not a cache is active; the ``cache=hit|miss``
+tag is added only when one is.  With no ambient cache
+(:func:`~repro.cache.store.active_cache` is None) a ``run()`` is that
+span around a plain function call: no hashing, no I/O.
 """
 
 from __future__ import annotations
@@ -109,7 +111,10 @@ class StageChain:
         compute: StageCompute,
         **inputs: Any,
     ) -> Optional[Dict[str, Any]]:
-        """Execute (or skip) one stage.
+        """Execute (or skip) one stage inside its span ``name``.
+
+        Stages are the flow's root stages, so the compute must not open
+        a span of the same name (it may ``annotate`` this one).
 
         ``inputs`` are the stage's own knobs — and *only* its own: keys
         must not over-approximate, or edits reuse less than they could
@@ -117,7 +122,8 @@ class StageChain:
         of signoff).  Upstream coupling comes from the chained key.
         """
         if self._cache is None:
-            compute(self._state)
+            with span(name):
+                compute(self._state)
             self.stages.append((name, "computed"))
             return None
         self._key = stage_key(name, self._key, inputs)

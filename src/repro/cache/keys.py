@@ -1,9 +1,10 @@
 """Deterministic cache keys for flow stages.
 
 A stage's cache key must be a pure function of *what the stage
-computes from*: the netlist content, the technology preset, the flow
-name, the stage's own knobs, and the key of the upstream stage it
-consumes.  Two properties are load-bearing (and property-tested in
+computes from*: the implementation (the source of the ``repro``
+package), the netlist content, the technology preset, the flow name,
+the stage's own knobs, and the key of the upstream stage it consumes.
+Two properties are load-bearing (and property-tested in
 ``tests/test_cache.py``):
 
 - **byte-stability** — the same logical inputs hash identically across
@@ -11,28 +12,24 @@ consumes.  Two properties are load-bearing (and property-tested in
   therefore never hash ``pickle`` output (memo ids and protocol details
   leak into it) or rely on dict/set iteration order; every container is
   canonicalized (dicts and sets sort) before hashing.
-- **sensitivity** — changing any knob, any netlist bit, or any upstream
-  stage key changes the key.  Type tags keep ``1``, ``1.0``, ``"1"``
-  and ``True`` distinct.
-
-Keys deliberately do **not** hash the implementation: a QoR-affecting
-algorithm change must bump :data:`CACHE_EPOCH` (the package version is
-folded in as well, so releases never collide with dev caches).
+- **sensitivity** — changing any knob, any netlist bit, any upstream
+  stage key, or any byte of the package source changes the key.  Type
+  tags keep ``1``, ``1.0``, ``"1"`` and ``True`` distinct.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 import hashlib
+from pathlib import Path
 from typing import Any, Dict, Mapping, Optional
 
 import numpy as np
 
-#: Bump whenever a flow stage's *output* for identical inputs changes
-#: (new algorithm, bugfix, changed state layout).  Stale entries from
-#: older epochs are simply never looked up again.
-CACHE_EPOCH = 1
+#: The package source tree whose bytes every chain key covers.
+SOURCE_ROOT = Path(__file__).resolve().parent.parent
 
 
 class UnhashableInputError(TypeError):
@@ -118,17 +115,30 @@ def canonical_fingerprint(obj: Any) -> str:
     return hashlib.sha256(_canonical(obj).encode("utf-8")).hexdigest()
 
 
+@functools.lru_cache(maxsize=None)
+def implementation_digest(root: Path) -> str:
+    """SHA-256 over the sorted relative paths and bytes of every ``*.py``
+    file under ``root``; computed once per root and process."""
+    digest = hashlib.sha256()
+    files = sorted((path.relative_to(root).as_posix(), path)
+                   for path in root.rglob("*.py"))
+    for rel, path in files:
+        data = path.read_bytes()
+        digest.update(f"{rel}\x00{len(data)}\x00".encode("utf-8"))
+        digest.update(data)
+    return digest.hexdigest()
+
+
 def chain_key(flow: str, inputs: Optional[Dict[str, Any]] = None) -> str:
     """The root key a flow's stage chain grows from.
 
-    Folds the cache epoch, the package version, the flow name, and the
-    run-level inputs (tile config, scale, tech presets, floorplan
-    options) — everything upstream of the first stage.
+    Folds the implementation digest of :data:`SOURCE_ROOT`, the flow
+    name, and the run-level inputs (tile config, scale, tech presets) —
+    everything upstream of the first stage.  Any source edit therefore
+    starts every flow on fresh keys instead of serving stale QoR.
     """
-    from repro import __version__
-
     return canonical_fingerprint(
-        ("chain", CACHE_EPOCH, __version__, flow, inputs or {})
+        ("chain", implementation_digest(SOURCE_ROOT), flow, inputs or {})
     )
 
 

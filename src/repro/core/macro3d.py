@@ -36,7 +36,7 @@ from repro.flows.base import (
 )
 from repro.floorplan.macro_placer import MacroPlacerOptions
 from repro.netlist.openpiton import Tile, TileConfig
-from repro.obs import count, span
+from repro.obs import count
 from repro.tech.presets import hk28, hk28_macro_die
 from repro.tech.technology import Technology
 
@@ -62,8 +62,7 @@ def run_flow_macro3d(
 
     # Steps 1-2: dual floorplans, scripted edits, combined BEOL.
     def _project(st):
-        with span("project_mol"):
-            projection = project_mol(st["tile"], logic, macro, floorplan_options)
+        projection = project_mol(st["tile"], logic, macro, floorplan_options)
         st["projection"] = projection
         st["combined"] = projection.combined
         st["merged"] = projection.merged
@@ -71,26 +70,22 @@ def run_flow_macro3d(
     chain.run("project_mol", _project, floorplan_options=floorplan_options)
 
     # Step 3: one standard 2D P&R pass on the projected design.
-    with span("place"):
-        chained_place(chain, fp_key="combined", row_height=logic.row_height,
-                      options=options)
-    with span("route"):
-        chained_route(chain, placement_key="placement", fp_key="combined",
-                      stack_fn=lambda st: st["merged"].stack, options=options,
-                      merged_fn=lambda st: st["merged"], technology=logic)
+    chained_place(chain, fp_key="combined", row_height=logic.row_height,
+                  options=options)
+    chained_route(chain, placement_key="placement", fp_key="combined",
+                  stack_fn=lambda st: st["merged"].stack, options=options,
+                  merged_fn=lambda st: st["merged"], technology=logic)
     chained_cts(chain, placement_key="placement", fp_key="combined",
                 stack_fn=lambda st: st["merged"].stack, options=options,
                 macro_die_fn=lambda st: st["projection"].macro_die_instances)
-    with span("signoff"):
-        chained_signoff(chain, technology=logic, options=options)
+    chained_signoff(chain, technology=logic, options=options)
 
     # Step 4: die separation (also validates the layer partition).
     def _separate(st):
-        with span("separate_dies"):
-            dies: Dict[str, DieView] = separate_dies(
-                st["projection"], st["assignment"]
-            )
-            count("separated_dies", len(dies))
+        dies: Dict[str, DieView] = separate_dies(
+            st["projection"], st["assignment"]
+        )
+        count("separated_dies", len(dies))
         st["dies"] = dies
 
     chain.run("separate_dies", _separate)

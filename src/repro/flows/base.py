@@ -1,9 +1,9 @@
 """Shared flow machinery: stages, sign-off, and result packaging.
 
-Every flow is a composition of the same stages — floorplan, place,
-route, layer-assign, CTS, extract, optimize, STA, power — differing only
-in *which geometry and parasitics each stage is shown*.  That difference
-is the entire story of the paper:
+Every flow is a composition of the same root stages — floorplan, place,
+route, CTS, signoff (extract, optimize, STA, power), verify — differing
+only in *which geometry and parasitics each stage is shown*.  That
+difference is the entire story of the paper:
 
 - 2D and Macro-3D optimize against the same parasitics they are signed
   off with (``believed is None``).
@@ -92,10 +92,14 @@ class FlowResult:
 # -- stages --------------------------------------------------------------------------
 
 
-def _global_place_stage(
-    netlist: Netlist, floorplan: Floorplan, options: FlowOptions
-) -> Tuple[Placement, Dict[str, Point]]:
-    """The global-placement half of :func:`place_design`."""
+def place_design(
+    netlist: Netlist,
+    floorplan: Floorplan,
+    row_height: float,
+    options: FlowOptions,
+) -> Tuple[Placement, LegalizeResult, Dict[str, Point]]:
+    """Global placement, legalization and detailed placement; returns the
+    legal placement, the legalization record and the port sites."""
     ports = place_ports(netlist, floorplan.outline)
     violations = validate_alignment(netlist, ports)
     if violations:
@@ -103,12 +107,6 @@ def _global_place_stage(
     anchors = allocate_module_regions(netlist, floorplan)
     with span("global_place", cells=netlist.num_instances):
         rough = global_place(netlist, floorplan, ports, options.placer, anchors)
-    return rough, ports
-
-
-def _legalize_stage(rough: Placement, row_height: float) -> LegalizeResult:
-    """The legalize + detailed-place half of :func:`place_design`."""
-    netlist = rough.netlist
     with span("legalize"):
         legal = legalize(rough, row_height)
         count("legalize_forced", legal.forced)
@@ -120,18 +118,6 @@ def _legalize_stage(rough: Placement, row_height: float) -> LegalizeResult:
     # it exists, not when the whole flow returns.
     mark("placed", cells=netlist.num_instances, forced=legal.forced,
          failures=legal.failures)
-    return legal
-
-
-def place_design(
-    netlist: Netlist,
-    floorplan: Floorplan,
-    row_height: float,
-    options: FlowOptions,
-) -> Tuple[Placement, LegalizeResult, Dict[str, Point]]:
-    """Global placement + legalization; returns placement and port sites."""
-    rough, ports = _global_place_stage(netlist, floorplan, options)
-    legal = _legalize_stage(rough, row_height)
     return legal.placement, legal, ports
 
 
@@ -155,45 +141,6 @@ def apply_macro_obstructions(
             )
 
 
-def _global_route_stage(
-    netlist: Netlist,
-    placement: Placement,
-    stack: LayerStack,
-    floorplan: Floorplan,
-    options: FlowOptions,
-    merged: Optional[MergedBeol] = None,
-    technology: Optional[Technology] = None,
-    obstruction_fraction: float = 1.0,
-) -> Tuple[RoutingGrid, Dict[str, RoutedNet]]:
-    """The global-routing half of :func:`route_design`."""
-    f2f = technology.f2f if (merged is not None and technology) else None
-    grid = RoutingGrid(stack, floorplan.outline, options.grid, merged, f2f)
-    apply_macro_obstructions(grid, floorplan, netlist, obstruction_fraction)
-    for blockage in floorplan.blockages:
-        grid.block_substrate(blockage.rect, blockage.density)
-    router = GlobalRouter(netlist, placement, grid, options.router)
-    with span("global_route", gcells=grid.nx * grid.ny):
-        routed = router.run()
-        annotate(nets=len(routed))
-        gauge("overflow_bins", float(grid.overflow_2d()))
-    return grid, routed
-
-
-def _layer_assign_stage(
-    grid: RoutingGrid,
-    routed: Dict[str, RoutedNet],
-    die1_cells: Optional[Set[str]] = None,
-) -> LayerAssignment:
-    """The layer-assignment half of :func:`route_design`."""
-    with span("layer_assign"):
-        assignment = LayerAssigner(grid, die1_cells).run(routed)
-        count("f2f_vias", assignment.total_f2f)
-        count("signal_vias", assignment.total_vias)
-    mark("routed", nets=len(routed), overflow=float(grid.overflow_2d()),
-         f2f_vias=assignment.total_f2f)
-    return assignment
-
-
 def route_design(
     netlist: Netlist,
     placement: Placement,
@@ -206,12 +153,22 @@ def route_design(
     obstruction_fraction: float = 1.0,
 ) -> Tuple[RoutingGrid, Dict[str, RoutedNet], LayerAssignment]:
     """Global routing plus layer assignment on the given stack."""
-    grid, routed = _global_route_stage(
-        netlist, placement, stack, floorplan, options,
-        merged=merged, technology=technology,
-        obstruction_fraction=obstruction_fraction,
-    )
-    assignment = _layer_assign_stage(grid, routed, die1_cells)
+    f2f = technology.f2f if (merged is not None and technology) else None
+    grid = RoutingGrid(stack, floorplan.outline, options.grid, merged, f2f)
+    apply_macro_obstructions(grid, floorplan, netlist, obstruction_fraction)
+    for blockage in floorplan.blockages:
+        grid.block_substrate(blockage.rect, blockage.density)
+    router = GlobalRouter(netlist, placement, grid, options.router)
+    with span("global_route", gcells=grid.nx * grid.ny):
+        routed = router.run()
+        annotate(nets=len(routed))
+        gauge("overflow_bins", float(grid.overflow_2d()))
+    with span("layer_assign"):
+        assignment = LayerAssigner(grid, die1_cells).run(routed)
+        count("f2f_vias", assignment.total_f2f)
+        count("signal_vias", assignment.total_vias)
+    mark("routed", nets=len(routed), overflow=float(grid.overflow_2d()),
+         f2f_vias=assignment.total_f2f)
     return grid, routed, assignment
 
 
@@ -245,17 +202,17 @@ def synthesize_clock(
     clock_layer = stack.routing_layers[-1]
     if any(l.name == "M6" for l in stack.routing_layers):
         clock_layer = stack.routing_layer("M6")
-    with span("cts", sinks=len(sinks)):
-        tree = synthesize_clock_tree(
-            sinks,
-            avg_cap,
-            floorplan.outline,
-            clock_layer,
-            library,
-            macro_die_sinks=macro_die_sinks,
-            options=options.cts,
-        )
-        count("clock_sinks", len(sinks))
+    annotate(sinks=len(sinks))
+    tree = synthesize_clock_tree(
+        sinks,
+        avg_cap,
+        floorplan.outline,
+        clock_layer,
+        library,
+        macro_die_sinks=macro_die_sinks,
+        options=options.cts,
+    )
+    count("clock_sinks", len(sinks))
     return tree
 
 
@@ -272,12 +229,23 @@ class Signoff:
     constraints: TimingConstraints
 
 
-def _extract_stage(
+def signoff_design(
+    netlist: Netlist,
+    library: StdCellLibrary,
     routed: Dict[str, RoutedNet],
     assignment: LayerAssignment,
     technology: Technology,
-) -> Tuple[DesignParasitics, DesignParasitics]:
-    """The extraction half of :func:`signoff_design` (slow + typical)."""
+    clock_tree: ClockTree,
+    options: FlowOptions,
+    believed: Optional[DesignParasitics] = None,
+    post_opt: bool = False,
+) -> Signoff:
+    """Extract, optimize and sign off a routed design.
+
+    ``believed`` is the parasitic view the optimization trusts (the
+    pseudo design for S2D/C2D); sign-off always uses the real extraction.
+    ``post_opt`` re-optimizes once on the real parasitics (C2D).
+    """
     corners = technology.corners
     with span("extract", nets=len(routed)):
         index = ExtractionIndex(routed, assignment)
@@ -285,20 +253,7 @@ def _extract_stage(
         typical = extract_design(
             routed, assignment, corners.typical, index=index
         )
-    return slow, typical
 
-
-def _sta_stage(
-    netlist: Netlist,
-    library: StdCellLibrary,
-    slow: DesignParasitics,
-    typical: DesignParasitics,
-    clock_tree: ClockTree,
-    options: FlowOptions,
-    believed: Optional[DesignParasitics] = None,
-    post_opt: bool = False,
-) -> Signoff:
-    """The optimize + STA + power half of :func:`signoff_design`."""
     constraints = options.constraints.with_skew(clock_tree.skew)
     graph = TimingGraph(netlist)
     target_period = (
@@ -344,30 +299,6 @@ def _sta_stage(
     return Signoff(slow, typical, plan, sizing, sta, power, constraints)
 
 
-def signoff_design(
-    netlist: Netlist,
-    library: StdCellLibrary,
-    routed: Dict[str, RoutedNet],
-    assignment: LayerAssignment,
-    technology: Technology,
-    clock_tree: ClockTree,
-    options: FlowOptions,
-    believed: Optional[DesignParasitics] = None,
-    post_opt: bool = False,
-) -> Signoff:
-    """Optimize and sign off a routed design.
-
-    ``believed`` is the parasitic view the optimization trusts (the
-    pseudo design for S2D/C2D); sign-off always uses the real extraction.
-    ``post_opt`` re-optimizes once on the real parasitics (C2D).
-    """
-    slow, typical = _extract_stage(routed, assignment, technology)
-    return _sta_stage(
-        netlist, library, slow, typical, clock_tree, options,
-        believed=believed, post_opt=post_opt,
-    )
-
-
 def verify_design(
     netlist: Netlist,
     placement: Placement,
@@ -387,31 +318,30 @@ def verify_design(
     the "directly valid in 3D" claim, for S2D/C2D it audits what their
     fix-up passes (overlap fix, F2F planning, re-route) left behind.
     """
-    with span("verify", nets=len(routed)):
-        report = run_drc(
-            netlist,
-            placement,
-            floorplan,
-            grid,
-            routed,
-            assignment,
-            die1_cells=die1_cells,
-            die1_macros=die1_macros,
-            flow=flow,
-            design=design,
-        )
+    annotate(nets=len(routed))
+    report = run_drc(
+        netlist,
+        placement,
+        floorplan,
+        grid,
+        routed,
+        assignment,
+        die1_cells=die1_cells,
+        die1_macros=die1_macros,
+        flow=flow,
+        design=design,
+    )
     mark("verified", violations=report.total, clean=report.clean)
     return report
 
 
 # -- chained stages ----------------------------------------------------------------------
 #
-# Cache-aware wrappers around the stage bodies above.  Each helper issues
-# one or two StageChain.run() calls whose computes read and write the
-# shared flow-state dict, so a flow becomes a chain of content-addressed
-# checkpoints.  With no active cache the chain is a null object and these
-# helpers execute exactly the same code, in the same span structure, as
-# the legacy place_design/route_design/signoff_design entry points.
+# Each helper below issues exactly one StageChain.run() call, named after
+# one of the flow's root stages, whose compute calls the stage body above
+# and reads and writes the shared flow-state dict.  A flow therefore is a
+# chain of one content-addressed checkpoint per root stage; with no
+# active cache the chain runs the same bodies in the same spans.
 
 #: A state accessor used by chained stages; evaluated inside the stage
 #: compute so it sees rehydrated state on warm resumes.
@@ -422,9 +352,9 @@ def seed_tile(chain: StageChain, config, scale: float, tile=None) -> None:
     """Stage 0: build (or adopt) the tile and fold its netlist content
     into the chain key.
 
-    A caller-supplied ``tile`` bypasses the build_tile stage exactly like
-    the legacy flows did; its netlist fingerprint still enters the key so
-    two different tiles never collide.
+    A caller-supplied ``tile`` bypasses the build_tile stage; its netlist
+    fingerprint still enters the key so two different tiles never
+    collide.
     """
     if tile is not None:
         chain.put(tile=tile)
@@ -435,8 +365,8 @@ def seed_tile(chain: StageChain, config, scale: float, tile=None) -> None:
     from repro.netlist.openpiton import build_tile
 
     def _build(st: Dict[str, Any]):
-        with span("build_tile", config=config.name, scale=scale):
-            st["tile"] = build_tile(config, scale=scale)
+        annotate(config=config.name, scale=scale)
+        st["tile"] = build_tile(config, scale=scale)
         return {"netlist": netlist_fingerprint(st["tile"].netlist)}
 
     chain.run("build_tile", _build, config=config, scale=scale)
@@ -448,38 +378,30 @@ def chained_place(
     fp_key: str,
     row_height: float,
     options: FlowOptions,
-    prefix: str = "",
+    stage: str = "place",
     out_placement: str = "placement",
     out_legal: Optional[str] = "legalization",
-    out_ports: str = "ports",
     prepare: Optional[StateFn] = None,
     **extra_knobs: Any,
 ) -> None:
-    """Place as two chained stages: ``<prefix>global_place`` (rough
-    placement, stored under the transient ``_rough`` key) and
-    ``<prefix>legalize`` (legalize + detailed place, pops ``_rough``).
+    """:func:`place_design` as one chained stage named ``stage``.
 
-    ``prepare`` runs inside the global-place compute — the hook for
-    mutations that must replay on a cold resume (e.g. S2D cell shrink).
+    ``prepare`` runs first inside the compute — the hook for mutations
+    that must replay on a cold resume (e.g. S2D cell shrink).
     """
 
-    def _global(st: Dict[str, Any]) -> None:
+    def _place(st: Dict[str, Any]) -> None:
         if prepare is not None:
             prepare(st)
-        rough, ports = _global_place_stage(st["tile"].netlist, st[fp_key], options)
-        st["_rough"] = rough
-        st[out_ports] = ports
-
-    chain.run(prefix + "global_place", _global,
-              placer=options.placer, **extra_knobs)
-
-    def _legal(st: Dict[str, Any]) -> None:
-        legal = _legalize_stage(st.pop("_rough"), row_height)
-        st[out_placement] = legal.placement
+        placement, legal, _ports = place_design(
+            st["tile"].netlist, st[fp_key], row_height, options
+        )
+        st[out_placement] = placement
         if out_legal is not None:
             st[out_legal] = legal
 
-    chain.run(prefix + "legalize", _legal, row_height=row_height)
+    chain.run(stage, _place, placer=options.placer,
+              row_height=row_height, **extra_knobs)
 
 
 def chained_route(
@@ -489,51 +411,45 @@ def chained_route(
     fp_key: str,
     stack_fn: StateFn,
     options: FlowOptions,
-    prefix: str = "",
+    stage: str = "route",
     merged_fn: Optional[StateFn] = None,
     technology: Optional[Technology] = None,
     die1_fn: Optional[StateFn] = None,
     obstruction_fraction: float = 1.0,
-    out_grid: str = "grid",
     out_routed: str = "routed",
     out_assign: str = "assignment",
     keep_grid: bool = True,
     prepare: Optional[StateFn] = None,
     **extra_knobs: Any,
 ) -> None:
-    """Route as two chained stages: ``<prefix>global_route`` and
-    ``<prefix>layer_assign``.
+    """:func:`route_design` as one chained stage named ``stage``.
 
     ``stack_fn``/``merged_fn``/``die1_fn`` are evaluated against the flow
-    state inside the computes so warm resumes see rehydrated objects.
-    When ``keep_grid`` is false the grid is dropped from state after
-    layer assignment (the pseudo grids of S2D/C2D are never needed
-    again, and they are the heaviest checkpoint payload).
+    state inside the compute so warm resumes see rehydrated objects.
+    When ``keep_grid`` is false the grid is not kept in state (the pseudo
+    grids of S2D/C2D are never needed again, and they are the heaviest
+    checkpoint payload).
     """
 
     def _route(st: Dict[str, Any]) -> None:
         if prepare is not None:
             prepare(st)
-        merged = merged_fn(st) if merged_fn is not None else None
-        grid, routed = _global_route_stage(
+        grid, routed, assignment = route_design(
             st["tile"].netlist, st[placement_key], stack_fn(st), st[fp_key],
-            options, merged=merged, technology=technology,
+            options,
+            merged=merged_fn(st) if merged_fn is not None else None,
+            technology=technology,
+            die1_cells=die1_fn(st) if die1_fn is not None else None,
             obstruction_fraction=obstruction_fraction,
         )
-        st[out_grid] = grid
+        if keep_grid:
+            st["grid"] = grid
         st[out_routed] = routed
+        st[out_assign] = assignment
 
-    chain.run(prefix + "global_route", _route,
+    chain.run(stage, _route,
               grid=options.grid, router=options.router,
               obstruction_fraction=obstruction_fraction, **extra_knobs)
-
-    def _assign(st: Dict[str, Any]) -> None:
-        die1 = die1_fn(st) if die1_fn is not None else None
-        st[out_assign] = _layer_assign_stage(st[out_grid], st[out_routed], die1)
-        if not keep_grid:
-            st.pop(out_grid)
-
-    chain.run(prefix + "layer_assign", _assign)
 
 
 def chained_cts(
@@ -542,17 +458,15 @@ def chained_cts(
     placement_key: str,
     fp_key: str,
     stack_fn: StateFn,
-    library_fn: Optional[StateFn] = None,
     options: FlowOptions,
     macro_die_fn: Optional[StateFn] = None,
-    out: str = "clock_tree",
 ) -> None:
     """Clock-tree synthesis as one chained ``cts`` stage."""
 
     def _cts(st: Dict[str, Any]) -> None:
         tile = st["tile"]
         macro_die = macro_die_fn(st) if macro_die_fn is not None else None
-        st[out] = synthesize_clock(
+        st["clock_tree"] = synthesize_clock(
             tile.netlist, st[placement_key], st[fp_key], stack_fn(st),
             tile.library, options, macro_die_instances=macro_die,
         )
@@ -565,32 +479,22 @@ def chained_signoff(
     *,
     technology: Technology,
     options: FlowOptions,
-    routed_key: str = "routed",
-    assign_key: str = "assignment",
-    clock_key: str = "clock_tree",
     believed_key: Optional[str] = None,
     post_opt: bool = False,
-    out: str = "signoff",
 ) -> None:
-    """Sign-off as two chained stages: ``extract`` (parasitics, stored
-    under transient keys) and ``sta`` (optimize + STA + power)."""
+    """:func:`signoff_design` (extract, optimize, STA, power) as one
+    chained ``signoff`` stage."""
 
-    def _extract(st: Dict[str, Any]) -> None:
-        slow, typical = _extract_stage(st[routed_key], st[assign_key], technology)
-        st["_slow"] = slow
-        st["_typical"] = typical
-
-    chain.run("extract", _extract)
-
-    def _sta(st: Dict[str, Any]) -> None:
+    def _signoff(st: Dict[str, Any]) -> None:
         tile = st["tile"]
-        believed = st[believed_key] if believed_key is not None else None
-        st[out] = _sta_stage(
-            tile.netlist, tile.library, st.pop("_slow"), st.pop("_typical"),
-            st[clock_key], options, believed=believed, post_opt=post_opt,
+        st["signoff"] = signoff_design(
+            tile.netlist, tile.library, st["routed"], st["assignment"],
+            technology, st["clock_tree"], options,
+            believed=st[believed_key] if believed_key is not None else None,
+            post_opt=post_opt,
         )
 
-    chain.run("sta", _sta,
+    chain.run("signoff", _signoff,
               sizing_iterations=options.sizing_iterations,
               target_frequency_mhz=options.target_frequency_mhz,
               constraints=options.constraints, post_opt=post_opt)
@@ -605,7 +509,6 @@ def chained_verify(
     die1_cells_fn: Optional[StateFn] = None,
     die1_macros_fn: Optional[StateFn] = None,
     extra: Optional[StateFn] = None,
-    out: str = "drc",
 ) -> None:
     """Physical verification as one chained ``verify`` stage.
 
@@ -615,7 +518,7 @@ def chained_verify(
 
     def _verify(st: Dict[str, Any]) -> None:
         tile = st["tile"]
-        st[out] = verify_design(
+        st["drc"] = verify_design(
             tile.netlist, st[placement_key], st[fp_key], st["grid"],
             st["routed"], st["assignment"],
             die1_cells=die1_cells_fn(st) if die1_cells_fn is not None else None,

@@ -33,7 +33,7 @@ from repro.floorplan.macro_placer import (
     place_macros_mol,
 )
 from repro.netlist.openpiton import Tile, TileConfig
-from repro.obs import span
+from repro.obs import annotate
 from repro.tech.layers import CutLayer, Layer, LayerStack, RoutingLayer
 from repro.tech.presets import hk28, hk28_macro_die
 from repro.tech.technology import Technology
@@ -84,11 +84,11 @@ def run_flow_c2d(
 
     def _floorplan(st):
         tile_ = st["tile"]
-        with span("floorplan", balanced=balanced):
-            if balanced:
-                die0_fp, die1_fp = balanced_macro_split(tile_, floorplan_options)
-            else:
-                die1_fp, die0_fp = place_macros_mol(tile_, floorplan_options)
+        annotate(balanced=balanced)
+        if balanced:
+            die0_fp, die1_fp = balanced_macro_split(tile_, floorplan_options)
+        else:
+            die1_fp, die0_fp = place_macros_mol(tile_, floorplan_options)
         st["die0_fp"], st["die1_fp"] = die0_fp, die1_fp
         st["pseudo_fp"] = pseudo_floorplan(
             f"{tile_.netlist.name}_c2d_pseudo",
@@ -103,29 +103,26 @@ def run_flow_c2d(
               floorplan_options=floorplan_options)
 
     # -- stage 1: the inflated pseudo design ------------------------------------
-    with span("pseudo_place"):
-        chained_place(
-            chain, fp_key="pseudo_fp", row_height=logic.row_height,
-            options=options, prefix="pseudo_",
-            out_placement="pseudo_placement", out_legal=None,
-            out_ports="_pseudo_ports", inflate=INFLATE,
-        )
+    chained_place(
+        chain, fp_key="pseudo_fp", row_height=logic.row_height,
+        options=options, stage="pseudo_place",
+        out_placement="pseudo_placement", out_legal=None,
+        inflate=INFLATE,
+    )
     pseudo_stack = scaled_parasitics_stack(logic.stack, 1.0 / INFLATE)
-    with span("pseudo_route"):
-        chained_route(
-            chain, placement_key="pseudo_placement", fp_key="pseudo_fp",
-            stack_fn=lambda st: pseudo_stack, options=options,
-            prefix="pseudo_", obstruction_fraction=0.5,
-            out_grid="_pseudo_grid", out_routed="pseudo_routed",
-            out_assign="pseudo_assignment", keep_grid=False,
-        )
+    chained_route(
+        chain, placement_key="pseudo_placement", fp_key="pseudo_fp",
+        stack_fn=lambda st: pseudo_stack, options=options,
+        stage="pseudo_route", obstruction_fraction=0.5,
+        out_routed="pseudo_routed", out_assign="pseudo_assignment",
+        keep_grid=False,
+    )
 
     def _pseudo_extract(st):
-        with span("pseudo_extract"):
-            st["believed"] = extract_design(
-                st["pseudo_routed"], st["pseudo_assignment"],
-                logic.corners.slowest,
-            )
+        st["believed"] = extract_design(
+            st["pseudo_routed"], st["pseudo_assignment"],
+            logic.corners.slowest,
+        )
         # Linear mapping back to the final coordinate space.
         netlist = st["tile"].netlist
         mapped = st["pseudo_placement"].copy()

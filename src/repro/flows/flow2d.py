@@ -23,7 +23,6 @@ from repro.flows.base import (
 )
 from repro.floorplan.macro_placer import MacroPlacerOptions, place_macros_2d
 from repro.netlist.openpiton import Tile, TileConfig
-from repro.obs import span
 from repro.tech.presets import hk28
 from repro.tech.technology import Technology
 
@@ -42,10 +41,9 @@ def run_flow_2d(
     masters during optimization, so a tile must not be shared between
     flow runs.
 
-    Stage boundaries are walked through a :class:`StageChain`: with an
+    The root stages are walked through a :class:`StageChain`: with an
     active cache every stage is a content-addressed checkpoint, without
-    one the chain is inert and this is the same straight-line flow as
-    ever.
+    one the chain only opens each stage's span around its body.
     """
     tech = technology or hk28()
     # Only run-wide facts enter the root key; per-stage knobs (floorplan
@@ -55,20 +53,16 @@ def run_flow_2d(
     seed_tile(chain, config, scale, tile)
 
     def _floorplan(st):
-        with span("floorplan"):
-            st["floorplan"] = place_macros_2d(st["tile"], floorplan_options)
+        st["floorplan"] = place_macros_2d(st["tile"], floorplan_options)
 
     chain.run("floorplan", _floorplan, floorplan_options=floorplan_options)
-    with span("place"):
-        chained_place(chain, fp_key="floorplan", row_height=tech.row_height,
-                      options=options)
-    with span("route"):
-        chained_route(chain, placement_key="placement", fp_key="floorplan",
-                      stack_fn=lambda st: tech.stack, options=options)
+    chained_place(chain, fp_key="floorplan", row_height=tech.row_height,
+                  options=options)
+    chained_route(chain, placement_key="placement", fp_key="floorplan",
+                  stack_fn=lambda st: tech.stack, options=options)
     chained_cts(chain, placement_key="placement", fp_key="floorplan",
                 stack_fn=lambda st: tech.stack, options=options)
-    with span("signoff"):
-        chained_signoff(chain, technology=tech, options=options)
+    chained_signoff(chain, technology=tech, options=options)
     chained_verify(chain, placement_key="placement", fp_key="floorplan",
                    flow="2d")
 

@@ -13,11 +13,13 @@ the real two-die stack through the same tail:
 5. sign-off with the optimization choices made on the pseudo design
    (frozen for S2D; re-optimized once for C2D).
 
-The tail walks a :class:`~repro.cache.StageChain`, so with an active
-cache each step is a content-addressed checkpoint (``tier_partition``,
-``overlap_fix``, ``f2f_plan``, ``reroute_*``, ``cts``, ``extract``,
-``sta``, ``verify``) and an edited knob resumes from the deepest
-reusable one.
+The tail walks a :class:`~repro.cache.StageChain`, one root stage per
+step (``tier_partition``, ``overlap_fix``, ``f2f_plan``, ``reroute``,
+``cts``, ``signoff``, ``verify``).  Each stage is one trace span and,
+with an active cache, one content-addressed checkpoint, so an edited
+knob resumes from the deepest reusable one.  With the flow's own
+``build_tile``, ``floorplan``, ``pseudo_place``, ``pseudo_route`` and
+``pseudo_extract`` stages, an S2D or C2D run has twelve.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from repro.floorplan.pins import place_ports
 from repro.geom import Rect
 from repro.netlist.core import Netlist
 from repro.netlist.openpiton import Tile
-from repro.obs import count, observe, span
+from repro.obs import annotate, count, observe
 from repro.place.global_place import Placement
 from repro.place.legalize import LegalizeResult, legalize
 from repro.tech.beol import MACRO_DIE_SUFFIX, merge_beol
@@ -147,16 +149,16 @@ def finalize_two_die(
         for macro_name in die1_fp.macro_placements:
             macro_assignment[macro_name] = 1
 
-        with span("tier_partition", mode=partition_mode):
-            partition = tier_partition(
-                netlist,
-                pseudo_placement,
-                die0_fp,
-                die1_fp,
-                macro_assignment,
-                mode=partition_mode,
-            )
-            count("cut_nets", partition.cut_nets)
+        annotate(mode=partition_mode)
+        partition = tier_partition(
+            netlist,
+            pseudo_placement,
+            die0_fp,
+            die1_fp,
+            macro_assignment,
+            mode=partition_mode,
+        )
+        count("cut_nets", partition.cut_nets)
 
         # Final placement object in the true coordinate space.
         ports = place_ports(netlist, combined.outline)
@@ -200,27 +202,26 @@ def finalize_two_die(
         forced = 0
         displacement_total = 0.0
         legal_results = []
-        with span("overlap_fix"):
-            for die, die_fp in ((0, st["die0_fp"]), (1, st["die1_fp"])):
-                view = final.copy()
-                view.floorplan = die_fp
-                for inst in netlist.instances:
-                    view.movable[inst.id] = (
-                        not inst.is_macro and inst.name in die_cells[die]
-                    )
-                legal = legalize(view, logic_tech.row_height)
-                legal_results.append(legal)
-                forced += legal.forced
-                count("legalize_forced", legal.forced)
-                count("legalize_failures", legal.failures)
-                for inst in netlist.std_cells():
-                    if inst.name in die_cells[die]:
-                        final.x[inst.id] = legal.placement.x[inst.id]
-                        final.y[inst.id] = legal.placement.y[inst.id]
-                displacement_total += float(legal.displacement.sum())
-                observe(
-                    "legalize_displacement_um", float(legal.displacement.sum())
+        for die, die_fp in ((0, st["die0_fp"]), (1, st["die1_fp"])):
+            view = final.copy()
+            view.floorplan = die_fp
+            for inst in netlist.instances:
+                view.movable[inst.id] = (
+                    not inst.is_macro and inst.name in die_cells[die]
                 )
+            legal = legalize(view, logic_tech.row_height)
+            legal_results.append(legal)
+            forced += legal.forced
+            count("legalize_forced", legal.forced)
+            count("legalize_failures", legal.failures)
+            for inst in netlist.std_cells():
+                if inst.name in die_cells[die]:
+                    final.x[inst.id] = legal.placement.x[inst.id]
+                    final.y[inst.id] = legal.placement.y[inst.id]
+            displacement_total += float(legal.displacement.sum())
+            observe(
+                "legalize_displacement_um", float(legal.displacement.sum())
+            )
         st["_forced"] = forced
         st["_displacement_total"] = displacement_total
         st["legalization"] = legal_results[0]
@@ -229,11 +230,10 @@ def finalize_two_die(
 
     # F2F via planning (the flows' own estimate of the bump demand).
     def _f2f_plan(st):
-        with span("f2f_plan"):
-            f2f_plan = plan_f2f_vias(
-                st["tile"].netlist, st["final"], st["partition"], logic_tech.f2f
-            )
-            count("planner_bumps", f2f_plan.total_bumps)
+        f2f_plan = plan_f2f_vias(
+            st["tile"].netlist, st["final"], st["partition"], logic_tech.f2f
+        )
+        count("planner_bumps", f2f_plan.total_bumps)
         st["f2f_plan"] = f2f_plan
 
     chain.run("f2f_plan", _f2f_plan)
@@ -246,14 +246,13 @@ def finalize_two_die(
             logic_tech.stack, macro_tech.stack, logic_tech.f2f
         )
 
-    with span("reroute"):
-        chained_route(
-            chain, placement_key="final", fp_key="combined",
-            stack_fn=lambda st: st["merged"].stack, options=options,
-            prefix="reroute_", merged_fn=lambda st: st["merged"],
-            technology=logic_tech, die1_fn=lambda st: st["die_cells"][1],
-            prepare=_edit_and_merge,
-        )
+    chained_route(
+        chain, placement_key="final", fp_key="combined",
+        stack_fn=lambda st: st["merged"].stack, options=options,
+        stage="reroute", merged_fn=lambda st: st["merged"],
+        technology=logic_tech, die1_fn=lambda st: st["die_cells"][1],
+        prepare=_edit_and_merge,
+    )
     chained_cts(
         chain, placement_key="final", fp_key="combined",
         stack_fn=lambda st: st["merged"].stack, options=options,
@@ -261,11 +260,10 @@ def finalize_two_die(
             st["die_cells"][1] | set(st["die1_fp"].macro_placements)
         ),
     )
-    with span("signoff"):
-        chained_signoff(
-            chain, technology=logic_tech, options=options,
-            believed_key="believed", post_opt=post_opt,
-        )
+    chained_signoff(
+        chain, technology=logic_tech, options=options,
+        believed_key="believed", post_opt=post_opt,
+    )
 
     def _prefix_audit(st):
         st["_prefix_placement"] = check_placement(

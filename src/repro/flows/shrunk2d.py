@@ -46,7 +46,7 @@ from repro.floorplan.macro_placer import (
     place_macros_mol,
 )
 from repro.netlist.openpiton import Tile, TileConfig
-from repro.obs import span
+from repro.obs import annotate
 from repro.tech.presets import hk28, hk28_macro_die
 from repro.tech.technology import Technology
 
@@ -74,11 +74,11 @@ def run_flow_s2d(
 
     def _floorplan(st):
         tile_ = st["tile"]
-        with span("floorplan", balanced=balanced):
-            if balanced:
-                die0_fp, die1_fp = balanced_macro_split(tile_, floorplan_options)
-            else:
-                die1_fp, die0_fp = place_macros_mol(tile_, floorplan_options)
+        annotate(balanced=balanced)
+        if balanced:
+            die0_fp, die1_fp = balanced_macro_split(tile_, floorplan_options)
+        else:
+            die1_fp, die0_fp = place_macros_mol(tile_, floorplan_options)
         st["die0_fp"], st["die1_fp"] = die0_fp, die1_fp
         st["pseudo_fp"] = pseudo_floorplan(
             f"{tile_.netlist.name}_s2d_pseudo",
@@ -95,30 +95,27 @@ def run_flow_s2d(
     def _shrink(st):
         st["_originals"] = shrink_std_cells(st["tile"].netlist, SHRINK)
 
-    with span("pseudo_place"):
-        chained_place(
-            chain, fp_key="pseudo_fp", row_height=logic.row_height * SHRINK,
-            options=options, prefix="pseudo_",
-            out_placement="pseudo_placement", out_legal=None,
-            out_ports="_pseudo_ports", prepare=_shrink, shrink=SHRINK,
-        )
+    chained_place(
+        chain, fp_key="pseudo_fp", row_height=logic.row_height * SHRINK,
+        options=options, stage="pseudo_place",
+        out_placement="pseudo_placement", out_legal=None,
+        prepare=_shrink, shrink=SHRINK,
+    )
     # Pseudo routing sees one die's BEOL; macros obstruct it at 50 %
     # (each macro exists in only one die of the future stack).
-    with span("pseudo_route"):
-        chained_route(
-            chain, placement_key="pseudo_placement", fp_key="pseudo_fp",
-            stack_fn=lambda st: logic.stack, options=options,
-            prefix="pseudo_", obstruction_fraction=0.5,
-            out_grid="_pseudo_grid", out_routed="pseudo_routed",
-            out_assign="pseudo_assignment", keep_grid=False,
-        )
+    chained_route(
+        chain, placement_key="pseudo_placement", fp_key="pseudo_fp",
+        stack_fn=lambda st: logic.stack, options=options,
+        stage="pseudo_route", obstruction_fraction=0.5,
+        out_routed="pseudo_routed", out_assign="pseudo_assignment",
+        keep_grid=False,
+    )
 
     def _pseudo_extract(st):
-        with span("pseudo_extract"):
-            st["believed"] = extract_design(
-                st["pseudo_routed"], st["pseudo_assignment"],
-                logic.corners.slowest,
-            )
+        st["believed"] = extract_design(
+            st["pseudo_routed"], st["pseudo_assignment"],
+            logic.corners.slowest,
+        )
         restore_std_cells(st["tile"].netlist, st.pop("_originals"))
 
     chain.run("pseudo_extract", _pseudo_extract)

@@ -9,8 +9,10 @@ perturb one knob, one netlist bit, or one upstream key and the key
 must move).  On top of that: store round trips (including the
 deep-object-graph pickling regression), the StageChain hit/miss/replay
 protocol on a synthetic three-stage flow, the spawn-platform serial
-fallback of ``bench run --jobs``, and one real 2D flow run proving a
-warm repeat is all hits with byte-identical QoR counters.
+fallback of ``bench run --jobs``, and real tiny 2D flow runs proving a
+warm repeat is all hits with byte-identical QoR counters, a sign-off
+edit recomputes only ``signoff`` and ``verify``, and the chain stages
+are the trace's root spans with or without a cache.
 """
 
 import copy
@@ -18,6 +20,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -160,22 +163,62 @@ class TestStageKeys:
     UP = "0" * 64
 
     def test_chained_on_upstream(self):
-        a = stage_key("global_place", self.UP, {"placer": "cg"})
-        b = stage_key("global_place", "1" * 64, {"placer": "cg"})
+        a = stage_key("place", self.UP, {"placer": "cg"})
+        b = stage_key("place", "1" * 64, {"placer": "cg"})
         assert a != b
 
     def test_knob_edits_move_the_key(self):
-        base = stage_key("sta", self.UP, {"sizing_iterations": 3})
-        assert base != stage_key("sta", self.UP, {"sizing_iterations": 4})
-        assert base == stage_key("sta", self.UP, {"sizing_iterations": 3})
+        base = stage_key("signoff", self.UP, {"sizing_iterations": 3})
+        assert base != stage_key("signoff", self.UP, {"sizing_iterations": 4})
+        assert base == stage_key("signoff", self.UP, {"sizing_iterations": 3})
 
     def test_stage_name_disambiguates(self):
-        assert (stage_key("extract", self.UP, {})
-                != stage_key("pseudo_extract", self.UP, {}))
+        assert (stage_key("place", self.UP, {})
+                != stage_key("pseudo_place", self.UP, {}))
 
     def test_chain_key_folds_flow_name(self):
         inputs = {"scale": 0.02}
         assert chain_key("2d", inputs) != chain_key("macro3d", inputs)
+
+
+class TestImplementationDigest:
+    """Chain keys cover the package source, so a code change can never
+    be served a checkpoint computed by the old code."""
+
+    @staticmethod
+    def _source_tree(root, body, notes="notes"):
+        (root / "flows").mkdir(parents=True)
+        (root / "__init__.py").write_text("")
+        (root / "flows" / "stage.py").write_text(body)
+        (root / "README.txt").write_text(notes)
+        return root
+
+    def test_source_edit_moves_the_chain_key(self, tmp_path, monkeypatch):
+        import repro.cache.keys as keys
+
+        inputs = {"scale": 0.02}
+        live = chain_key("2d", inputs)
+        keys_by_body = []
+        for name, body in (("a", "X = 1\n"), ("b", "X = 2\n"),
+                           ("c", "X = 1\n")):
+            root = self._source_tree(tmp_path / name, body)
+            monkeypatch.setattr(keys, "SOURCE_ROOT", root)
+            keys_by_body.append(chain_key("2d", inputs))
+        edited_a, edited_b, same_as_a = keys_by_body
+        assert edited_a != edited_b
+        # Only relative paths and bytes count, not where the tree lives.
+        assert edited_a == same_as_a
+        assert live not in keys_by_body
+
+    def test_only_python_sources_count(self, tmp_path):
+        from repro.cache.keys import implementation_digest
+
+        a = self._source_tree(tmp_path / "a", "X = 1\n", notes="one")
+        b = self._source_tree(tmp_path / "b", "X = 1\n", notes="two")
+        assert implementation_digest(a) == implementation_digest(b)
+        (b / "flows" / "extra.py").write_text("")
+        implementation_digest.cache_clear()
+        assert implementation_digest(a) != implementation_digest(b)
 
 
 class TestStore:
@@ -202,14 +245,14 @@ class TestStore:
 
     def test_clear_empties_the_root(self, tmp_path):
         cache = StageCache(str(tmp_path))
-        cache.store("ef" * 32, {"x": 1}, [], stage="sta")
+        cache.store("ef" * 32, {"x": 1}, [], stage="signoff")
         assert cache.clear() == 1
         assert StageCache(str(tmp_path)).lookup("ef" * 32) is None
 
     def test_torn_entry_raises_cache_error(self, tmp_path):
         cache = StageCache(str(tmp_path))
         key = "12" * 32
-        cache.store(key, {"x": 1}, [], stage="sta")
+        cache.store(key, {"x": 1}, [], stage="signoff")
         with open(cache.state_path(key), "wb") as handle:
             handle.write(b"\x80corrupt")
         with pytest.raises(CacheError):
@@ -321,28 +364,58 @@ class TestStageChain:
         assert all(s.attrs.get("cache") == "hit" for s in spans)
 
 
-class TestFlowWarmRepeat:
-    """The acceptance property on a real (tiny) flow: a warm repeat is
-    a chain of hits and its QoR counters match the cold run's."""
+#: The 2D flow's root stages: its chain stages and its trace's root spans.
+ROOT_STAGES_2D = ["build_tile", "floorplan", "place", "route", "cts",
+                  "signoff", "verify"]
+
+
+def _traced_2d_run(options, monkeypatch):
+    """Run the tiny 2D flow traced; returns (result, trace, chain)."""
+    chains = []
+    begin = StageChain.begin
+
+    def recording_begin(flow, **inputs):
+        chains.append(begin(flow, **inputs))
+        return chains[-1]
+
+    monkeypatch.setattr(StageChain, "begin", staticmethod(recording_begin))
+    with recording() as rec:
+        result = run_flow_2d(small_cache_config(), scale=0.01, options=options)
+    (chain,) = chains
+    return result, FlowTrace.from_recorder(
+        rec, flow=result.flow, design=result.design
+    ), chain
+
+
+class TestFlowStageChain:
+    """The acceptance properties on a real (tiny) flow: the chain has one
+    boundary per root stage, a warm repeat is all hits with the cold
+    run's QoR counters, and a sign-off edit resumes from the ``cts``
+    checkpoint with the QoR of a cache-off run."""
 
     OPTIONS = FlowOptions(sizing_iterations=1)
 
-    def _run(self):
-        with recording() as rec:
-            result = run_flow_2d(
-                small_cache_config(), scale=0.01, options=self.OPTIONS
-            )
-        return result, FlowTrace.from_recorder(
-            rec, flow=result.flow, design=result.design
-        )
+    @pytest.fixture(scope="class")
+    def runs(self, tmp_path_factory):
+        cache = StageCache(str(tmp_path_factory.mktemp("cache")))
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            with caching(cache):
+                cold = _traced_2d_run(self.OPTIONS, monkeypatch)
+                warm = _traced_2d_run(self.OPTIONS, monkeypatch)
+                # Sign off at a fixed frequency below the cold fmax.
+                edit = replace(self.OPTIONS, target_frequency_mhz=float(
+                    int(cold[0].summary.fclk_mhz * 0.9)))
+                edited = _traced_2d_run(edit, monkeypatch)
+            off = _traced_2d_run(edit, monkeypatch)
+        return {"cold": cold, "warm": warm, "edited": edited, "off": off}
 
-    def test_warm_2d_flow_is_all_hits_and_qor_identical(self, tmp_path):
-        with caching(StageCache(str(tmp_path))):
-            cold, cold_trace = self._run()
-            warm, warm_trace = self._run()
-        assert warm_trace.counters["cache_hit"] == 10
+    def test_warm_2d_flow_is_all_hits_and_qor_identical(self, runs):
+        cold, cold_trace, _ = runs["cold"]
+        warm, warm_trace, _ = runs["warm"]
+        assert (warm_trace.counters["cache_hit"]
+                == cold_trace.counters["cache_miss"]
+                == len(ROOT_STAGES_2D))
         assert "cache_miss" not in warm_trace.counters
-        assert cold_trace.counters["cache_miss"] == 10
         assert warm.summary.as_row() == cold.summary.as_row()
 
         def qor_counters(trace):
@@ -351,6 +424,26 @@ class TestFlowWarmRepeat:
 
         assert qor_counters(warm_trace) == qor_counters(cold_trace)
         assert warm_trace.gauges == cold_trace.gauges
+
+    def test_signoff_edit_resumes_from_cts(self, runs):
+        edited, _, chain = runs["edited"]
+        assert chain.stages == (
+            [(name, "hit") for name in ROOT_STAGES_2D[:5]]
+            + [("signoff", "miss"), ("verify", "miss")]
+        )
+        assert edited.summary.as_row() == runs["off"][0].summary.as_row()
+
+    @pytest.mark.parametrize("run", ["off", "cold", "warm"])
+    def test_chain_stages_are_the_trace_roots(self, runs, run):
+        _, trace, chain = runs[run]
+        assert [name for name, _ in chain.stages] == ROOT_STAGES_2D
+        assert [root.name for root in trace.spans] == ROOT_STAGES_2D
+
+    @pytest.mark.parametrize("run", ["off", "cold", "warm", "edited"])
+    def test_no_span_nests_its_own_name(self, runs, run):
+        _, trace, _ = runs[run]
+        for node in trace.all_spans():
+            assert node.name not in [c.name for c in node.children], node.name
 
 
 class TestIndexReuse:
