@@ -45,20 +45,6 @@ class RoutedEdge:
     length: float
     #: Fraction of the path over macro substrate (no repeater sites).
     blocked_fraction: float = 0.0
-    #: Router-internal cache: flat ids of the horizontal and vertical
-    #: grid edges the path crosses (row-major ``x*ny + y``).  Derived
-    #: from ``path``; never serialized.
-    seg_ids: Optional[Tuple[List[int], List[int]]] = field(
-        default=None, repr=False, compare=False
-    )
-
-    def __getstate__(self):
-        # Enforce the "never serialized" contract on seg_ids: stage
-        # checkpoints pickle routed nets, and every consumer rebuilds
-        # from ``path`` when the cache is absent.
-        state = self.__dict__.copy()
-        state["seg_ids"] = None
-        return state
 
 
 @dataclass
@@ -112,17 +98,9 @@ class GlobalRouter:
         self._use_h_flat = grid.use_h.ravel()
         self._use_v_flat = grid.use_v.ravel()
         self._since_refresh = 0
-        # Delta-tracked segment index for overflow detection.  The index
-        # is append-only: each negotiation round adds one chunk holding
-        # only the nets rerouted since the last round (the dirty set),
-        # stamped with the net's route generation.  Entries from older
-        # chunks whose generation no longer matches are masked out
-        # vectorially at query time, so per-round work scales with the
-        # dirty set, not the whole design.
-        self._seg_dirty: set = set()
-        self._seg_chunks: List[Tuple[np.ndarray, ...]] = []
-        self._gen: Dict[str, int] = {}
-        self._ordinals: Dict[str, int] = {}
+        # Flat ids of the h/v grid edges each routed net occupies, by
+        # net name: filled by ``_route_net``, consumed by ``_rip_up``.
+        self._segs: Dict[str, Tuple[List[int], List[int]]] = {}
         self._refresh_costs()
 
     # -- cost fields ----------------------------------------------------------------
@@ -138,27 +116,25 @@ class GlobalRouter:
 
     def _refresh_costs(self) -> None:
         grid = self.grid
-        self._cost_h = self._edge_cost_field(grid.cap_h, grid.use_h, grid.history_h)
-        self._cost_v = self._edge_cost_field(grid.cap_v, grid.use_v, grid.history_v)
+        cost_h = self._edge_cost_field(grid.cap_h, grid.use_h, grid.history_h)
+        cost_v = self._edge_cost_field(grid.cap_v, grid.use_v, grid.history_v)
         # Prefix sums for O(1) straight-run costs: psum[i+1] - psum[j].
-        self._psum_h = np.concatenate(
-            [np.zeros((1, grid.ny)), np.cumsum(self._cost_h, axis=0)], axis=0
+        psum_h = np.concatenate(
+            [np.zeros((1, grid.ny)), np.cumsum(cost_h, axis=0)], axis=0
         )
-        self._psum_v = np.concatenate(
-            [np.zeros((grid.nx, 1)), np.cumsum(self._cost_v, axis=1)], axis=1
+        psum_v = np.concatenate(
+            [np.zeros((grid.nx, 1)), np.cumsum(cost_v, axis=1)], axis=1
         )
         # Nested-list mirrors: the pattern scorer and the maze inner loop
         # read single elements millions of times, where Python list
         # indexing beats numpy scalar indexing several-fold.  The lists
         # hold the same doubles, so all costs come out bit-identical.
-        self._cost_h_l = self._cost_h.tolist()
-        self._cost_v_l = self._cost_v.tolist()
-        self._psum_h_l = self._psum_h.tolist()
-        self._psum_v_l = self._psum_v.tolist()
+        self._psum_h_l = psum_h.tolist()
+        self._psum_v_l = psum_v.tolist()
         # Flat row-major mirrors for the maze: cell (x, y) is id x*ny+y,
         # edge (ex, ey) is id ex*ny+ey.
-        self._cost_h_flat = self._cost_h.ravel().tolist()
-        self._cost_v_flat = self._cost_v.ravel().tolist()
+        self._cost_h_flat = cost_h.ravel().tolist()
+        self._cost_v_flat = cost_v.ravel().tolist()
         self._since_refresh = 0
 
     def _hcost(self, y: int, x0: int, x1: int) -> float:
@@ -172,17 +148,17 @@ class GlobalRouter:
 
     # -- usage bookkeeping -------------------------------------------------------
 
-    def _edge_segments(self, path: Sequence[GCell]) -> Tuple[List[int], List[int]]:
-        """Flat ids of the h/v grid edges a path crosses (``x*ny + y``)."""
+    def _edge_segments(
+        self, path: Sequence[GCell], h_ids: List[int], v_ids: List[int]
+    ) -> None:
+        """Append the flat ids of the h/v grid edges a path crosses
+        (``x*ny + y``) to ``h_ids``/``v_ids``."""
         ny = self.grid.ny
-        h_ids: List[int] = []
-        v_ids: List[int] = []
         for (ax, ay), (bx, by) in zip(path, path[1:]):
             if ax != bx:
                 h_ids.append((ax if ax < bx else bx) * ny + ay)
             else:
                 v_ids.append(ax * ny + (ay if ay < by else by))
-        return h_ids, v_ids
 
     def _apply_segments(
         self, segs: Tuple[List[int], List[int]], sign: float
@@ -194,9 +170,6 @@ class GlobalRouter:
             np.add.at(self._use_h_flat, h_ids, sign)
         if v_ids:
             np.add.at(self._use_v_flat, v_ids, sign)
-
-    def _apply_path(self, path: Sequence[GCell], sign: float) -> None:
-        self._apply_segments(self._edge_segments(path), sign)
 
     # -- pattern routing ------------------------------------------------------------
 
@@ -388,6 +361,8 @@ class GlobalRouter:
         else:
             pairs = decompose_net(routed.points, routed.driver_index)
         routed.edges = []
+        h_ids: List[int] = []
+        v_ids: List[int] = []
         for (src, dst) in pairs:
             a, b = cells[src], cells[dst]
             path: Optional[List[GCell]] = None
@@ -398,8 +373,7 @@ class GlobalRouter:
                 count("pattern_routes", 1)
             else:
                 count("maze_routes", 1)
-            segs = self._edge_segments(path)
-            self._apply_segments(segs, +1.0)
+            self._edge_segments(path, h_ids, v_ids)
             direct = manhattan(routed.points[src], routed.points[dst])
             detour = max(0, len(path) - 1) * self.grid.gcell
             routed.edges.append(
@@ -409,122 +383,23 @@ class GlobalRouter:
                     path,
                     max(direct, detour * 0.999),
                     self.grid.path_blocked_fraction(path),
-                    seg_ids=segs,
                 )
             )
+        # Costs are only re-read after a refresh, so the whole net's
+        # usage can land at once; integer-valued adds are exact in any
+        # order.
+        segs = self._segs[routed.net.name] = (h_ids, v_ids)
+        self._apply_segments(segs, +1.0)
         self._since_refresh += 1
-        self._mark_route_changed(routed)
         if self._since_refresh >= self.options.cost_batch:
             self._refresh_costs()
 
     def _rip_up(self, routed: RoutedNet) -> None:
-        for edge in routed.edges:
-            segs = edge.seg_ids
-            if segs is None:
-                segs = self._edge_segments(edge.path)
-            self._apply_segments(segs, -1.0)
+        self._apply_segments(self._segs.pop(routed.net.name), -1.0)
         routed.edges = []
-        self._mark_route_changed(routed)
-
-    def _mark_route_changed(self, routed: RoutedNet) -> None:
-        name = routed.net.name
-        self._seg_dirty.add(name)
-        self._gen[name] = self._gen.get(name, 0) + 1
-
-    def _flush_seg_chunks(self) -> None:
-        """Append one index chunk covering the dirty (rerouted) nets.
-
-        A chunk holds flat seg ids, the owning net's ordinal and the
-        net's route generation at gather time, for both edge planes.
-        The assembly is counts-driven (``np.fromiter`` for the ids, one
-        ``np.repeat`` for ordinals and generations) — deliberately not
-        a per-net ``np.concatenate``, whose per-array overhead dwarfs
-        the element copies at tens of thousands of short nets.
-        """
-        if not self._seg_dirty:
-            return
-        if len(self._ordinals) != len(self.routed):
-            self._ordinals = {
-                name: k for k, name in enumerate(self.routed)
-            }
-        dirty: List[RoutedNet] = []
-        h_flat: List[int] = []
-        v_flat: List[int] = []
-        h_counts: List[int] = []
-        v_counts: List[int] = []
-        for name in self._seg_dirty:
-            routed = self.routed.get(name)
-            if routed is None:
-                continue
-            h0, v0 = len(h_flat), len(v_flat)
-            for edge in routed.edges:
-                segs = edge.seg_ids
-                if segs is None:
-                    segs = edge.seg_ids = self._edge_segments(edge.path)
-                h_flat.extend(segs[0])
-                v_flat.extend(segs[1])
-            dirty.append(routed)
-            h_counts.append(len(h_flat) - h0)
-            v_counts.append(len(v_flat) - v0)
-        self._seg_dirty.clear()
-        if not dirty:
-            return
-        n = len(dirty)
-        ordinals = np.fromiter(
-            (self._ordinals[r.net.name] for r in dirty), np.int64, count=n
-        )
-        gens = np.fromiter(
-            (self._gen[r.net.name] for r in dirty), np.int64, count=n
-        )
-        h_counts_arr = np.array(h_counts, dtype=np.int64)
-        v_counts_arr = np.array(v_counts, dtype=np.int64)
-        self._seg_chunks.append((
-            np.array(h_flat, dtype=np.int64),
-            np.repeat(ordinals, h_counts_arr),
-            np.repeat(gens, h_counts_arr),
-            np.array(v_flat, dtype=np.int64),
-            np.repeat(ordinals, v_counts_arr),
-            np.repeat(gens, v_counts_arr),
-        ))
 
     def _nets_on_overflow(self) -> List[RoutedNet]:
-        """Nets crossing any overflowed grid edge, in routing order.
-
-        Vectorized equivalent of :meth:`_nets_on_overflow_reference`
-        (the retained per-net scalar scan): boolean gathers over the
-        delta-maintained chunked segment index instead of a Python walk
-        over every net's segments each round.  Entries whose stamped
-        generation trails the net's current one belong to a ripped-up
-        route and are masked out.
-        """
-        grid = self.grid
-        over_h = (grid.use_h > grid.cap_h).ravel()
-        over_v = (grid.use_v > grid.cap_v).ravel()
-        if not over_h.any() and not over_v.any():
-            return []
-        self._flush_seg_chunks()
-        names = list(self.routed)
-        cur_gen = np.fromiter(
-            (self._gen.get(name, 0) for name in names),
-            np.int64,
-            count=len(names),
-        )
-        hit = np.zeros(len(names), dtype=bool)
-        for idx_h, net_h, gen_h, idx_v, net_v, gen_v in self._seg_chunks:
-            if len(idx_h):
-                live = cur_gen[net_h] == gen_h
-                hit[net_h[live & over_h[idx_h]]] = True
-            if len(idx_v):
-                live = cur_gen[net_v] == gen_v
-                hit[net_v[live & over_v[idx_v]]] = True
-        return [
-            routed
-            for k, routed in enumerate(self.routed.values())
-            if hit[k]
-        ]
-
-    def _nets_on_overflow_reference(self) -> List[RoutedNet]:
-        """Scalar oracle for overflow detection (bit-exactness tests)."""
+        """Nets crossing any overflowed grid edge, in routing order."""
         grid = self.grid
         over_h = grid.use_h > grid.cap_h
         over_v = grid.use_v > grid.cap_v
@@ -532,26 +407,13 @@ class GlobalRouter:
             return []
         oh = over_h.ravel().tolist()
         ov = over_v.ravel().tolist()
+        segs = self._segs
         offenders = []
-        for routed in self.routed.values():
-            hit = False
-            for edge in routed.edges:
-                segs = edge.seg_ids
-                if segs is None:
-                    segs = edge.seg_ids = self._edge_segments(edge.path)
-                h_ids, v_ids = segs
-                for i in h_ids:
-                    if oh[i]:
-                        hit = True
-                        break
-                if not hit:
-                    for i in v_ids:
-                        if ov[i]:
-                            hit = True
-                            break
-                if hit:
-                    break
-            if hit:
+        for name, routed in self.routed.items():
+            h_ids, v_ids = segs[name]
+            if any(map(oh.__getitem__, h_ids)) or any(
+                map(ov.__getitem__, v_ids)
+            ):
                 offenders.append(routed)
         return offenders
 

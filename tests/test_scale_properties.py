@@ -1,18 +1,21 @@
 """Scale-invariance property tests for the flat-array flow kernels.
 
-The incremental STA engine (`repro.timing.sta.StaEngine`), the batched
-RC extraction (`repro.extract.rc.ExtractionIndex`) and the delta-driven
-rip-up negotiation (`repro.route.global_route`) must match their
-retained scalar oracles *bit for bit* — floating-point accumulation
-order is part of the QoR baseline contract, exactly as for the
-net-geometry kernels in ``test_perf_kernels``.
+The incremental STA engine (`repro.timing.sta.StaEngine`) and the
+batched RC extraction (`repro.extract.rc.ExtractionIndex`) must match
+their retained scalar oracles *bit for bit* — floating-point
+accumulation order is part of the QoR baseline contract, exactly as for
+the net-geometry kernels in ``test_perf_kernels``.  The rip-up-and-
+reroute negotiation in `repro.route.global_route` has one offender
+detector (a plain per-net scan); its tests check behaviour, and the
+committed baselines and determinism tests guard its output.
 
 The designs are seeded OpenPiton tiles (the tile builder is itself a
 statistical netlist generator, so reseeding it IS the randomization),
 augmented with the degenerate shapes the kernels special-case: a 1-term
-net, a no-overflow routing run (the early-exit path), and a routing run
+net, a no-overflow routing run (the early-exit path), a routing run
 whose capacities are squeezed so that every net is ripped up at least
-once.
+once, and a full rip-up after negotiation that must return the usage
+planes to zero.
 """
 
 from dataclasses import replace
@@ -242,13 +245,11 @@ class TestBatchedExtraction:
 
 
 def _spy_overflow(monkeypatch, rounds):
-    """Assert delta == oracle offender lists at every negotiation round."""
+    """Record the offender names the router finds at every round."""
     orig = GlobalRouter._nets_on_overflow
 
     def spy(self):
         got = orig(self)
-        want = self._nets_on_overflow_reference()
-        assert [r.net.name for r in got] == [r.net.name for r in want]
         rounds.append([r.net.name for r in got])
         return got
 
@@ -265,31 +266,10 @@ def _fresh_router(state, cap_bias=None) -> GlobalRouter:
     return GlobalRouter(state.netlist, state.placement, grid, OPTS.router)
 
 
-def _paths(routed):
-    return {
-        name: [e.path for e in r.edges] for name, r in routed.items()
-    }
-
-
-class TestDeltaRipUp:
-    def test_offenders_match_oracle_every_round(self, state, monkeypatch):
-        rounds = []
-        _spy_overflow(monkeypatch, rounds)
-        router = _fresh_router(state)
-        delta = _paths(router.run())
-        assert rounds  # the design does negotiate at this scale
-        monkeypatch.undo()
-        reference = _fresh_router(state)
-        monkeypatch.setattr(
-            reference,
-            "_nets_on_overflow",
-            reference._nets_on_overflow_reference,
-        )
-        assert _paths(reference.run()) == delta
-
+class TestRipUpNegotiation:
     def test_no_overflow_design_skips_negotiation(self, state, monkeypatch):
-        """Inflated capacities: zero overflow, zero rip-up rounds, and
-        the delta detector's early-exit path agrees with the oracle."""
+        """Inflated capacities: zero overflow, zero rip-up rounds (the
+        detector's early-exit path)."""
         rounds = []
         _spy_overflow(monkeypatch, rounds)
 
@@ -304,8 +284,7 @@ class TestDeltaRipUp:
 
     def test_every_net_ripped_at_least_once(self, state, monkeypatch):
         """Zeroed capacities: every used edge overflows, so every round
-        rips every routed net — the worst-case dirty set — and the
-        delta index must still agree with the oracle bit for bit."""
+        rips every routed net that touches a grid edge."""
         rounds = []
         _spy_overflow(monkeypatch, rounds)
 
@@ -325,3 +304,18 @@ class TestDeltaRipUp:
             if any(len(e.path) > 1 for e in r.edges)
         }
         assert uses_edges and ripped == uses_edges
+
+    def test_ripping_every_net_restores_zero_usage(self, state, monkeypatch):
+        """The router's per-net segment store matches the usage planes:
+        after negotiation has rerouted some nets, ripping up every
+        routed net removes exactly the usage it added."""
+        rounds = []
+        _spy_overflow(monkeypatch, rounds)
+        router = _fresh_router(state)
+        routed = router.run()
+        assert any(rounds)  # the design does negotiate at this scale
+        assert router.grid.use_h.any() or router.grid.use_v.any()
+        for net in routed.values():
+            router._rip_up(net)
+        assert not router.grid.use_h.any()
+        assert not router.grid.use_v.any()
