@@ -11,7 +11,10 @@ Schema ``repro.bench/v1``:
   summaries (count/sum/min/max/mean/p50/p95/p99);
 - **ppa** — the paper-style sign-off numbers of :class:`PPASummary`
   (fclk, energy, wirelength, F2F bumps, power, ...);
-- **meta** — informational environment stamps the comparator ignores.
+- **meta** — informational environment stamps the comparator ignores:
+  Python version, platform, and the run environment sampled when the
+  run started (usable CPUs, BLAS/OpenMP thread variables, 1-minute load
+  average) — a wall time means little without them.
 
 Keys serialize sorted so artifacts diff cleanly in review.
 """
@@ -19,6 +22,7 @@ Keys serialize sorted so artifacts diff cleanly in review.
 from __future__ import annotations
 
 import json
+import os
 import platform
 import sys
 from dataclasses import dataclass, field
@@ -53,6 +57,26 @@ PPA_FIELDS = (
     "shorts",
     "f2f_overflow",
 )
+
+
+#: Thread-count variables of the BLAS/OpenMP runtimes numpy may load.
+THREAD_ENV_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def run_environment() -> Dict[str, str]:
+    """Stamps of what a run competed with: CPUs this process may use,
+    the BLAS/OpenMP thread variables (``unset`` when absent) and the
+    1-minute load average.  Sample it when the run starts."""
+    try:
+        nproc = len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        nproc = os.cpu_count() or 0
+    try:
+        load = f"{os.getloadavg()[0]:.2f}"
+    except (AttributeError, OSError):
+        load = "unavailable"
+    env = {name: os.environ.get(name, "unset") for name in THREAD_ENV_VARS}
+    return {"nproc": str(nproc), "loadavg_1m": load, **env}
 
 
 @dataclass
@@ -110,7 +134,10 @@ class BenchArtifact:
         scale: float,
         result: FlowResult,
         trace: FlowTrace,
+        environment: Dict[str, str],
     ) -> "BenchArtifact":
+        """Package one traced run; ``environment`` is the
+        :func:`run_environment` sampled when the run started."""
         stages = [
             StageTiming(
                 name=root.name,
@@ -140,6 +167,7 @@ class BenchArtifact:
             meta={
                 "python": platform.python_version(),
                 "platform": sys.platform,
+                **environment,
             },
         )
 

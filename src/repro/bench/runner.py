@@ -45,6 +45,7 @@ from repro.bench.artifact import (
     artifact_filename,
     load_artifact,
     perfetto_filename,
+    run_environment,
 )
 from repro.bench.scenarios import Scenario, get_scenario
 from repro.bench.svg import render_signoff_visuals
@@ -107,6 +108,7 @@ def run_scenario(
     scenario: Scenario,
 ) -> Tuple[BenchArtifact, FlowResult, FlowTrace]:
     """Run one scenario traced and package the artifact."""
+    environment = run_environment()
     with recording() as recorder:
         result = scenario.run()
     trace = FlowTrace.from_recorder(
@@ -120,6 +122,7 @@ def run_scenario(
         scale=scenario.scale,
         result=result,
         trace=trace,
+        environment=environment,
     )
     return artifact, result, trace
 

@@ -173,32 +173,49 @@ class Net:
 
 
 class Netlist:
-    """A flat gate-level netlist."""
+    """A flat gate-level netlist.
+
+    :attr:`instances`, :attr:`nets` and :attr:`ports` are immutable
+    tuple views in id (insertion) order, built on first access and
+    reused until the next ``add_*`` call, so indexing them inside a
+    per-element loop stays O(1).  The views are left out of the pickled
+    state and rebuilt lazily after a load.
+    """
+
+    #: Cached views; ``None`` (the class default) means "build on access".
+    _instance_view: Optional[Tuple[Instance, ...]] = None
+    _net_view: Optional[Tuple[Net, ...]] = None
+    _port_view: Optional[Tuple[Port, ...]] = None
+    _VIEWS = ("_instance_view", "_net_view", "_port_view")
 
     def __init__(self, name: str):
         self.name = name
         self._instances: Dict[str, Instance] = {}
-        self._instance_list: List[Instance] = []
         self._nets: Dict[str, Net] = {}
-        self._net_list: List[Net] = []
         self._ports: Dict[str, Port] = {}
+
+    def __getstate__(self) -> Dict[str, object]:
+        state = dict(self.__dict__)
+        for view in self._VIEWS:
+            state.pop(view, None)
+        return state
 
     # -- construction ----------------------------------------------------------
 
     def add_instance(self, name: str, master: Master) -> Instance:
         if name in self._instances:
             raise ValueError(f"duplicate instance name {name}")
-        instance = Instance(name, len(self._instance_list), master)
+        instance = Instance(name, len(self._instances), master)
         self._instances[name] = instance
-        self._instance_list.append(instance)
+        self._instance_view = None
         return instance
 
     def add_net(self, name: str) -> Net:
         if name in self._nets:
             raise ValueError(f"duplicate net name {name}")
-        net = Net(name, len(self._net_list))
+        net = Net(name, len(self._nets))
         self._nets[name] = net
-        self._net_list.append(net)
+        self._net_view = None
         return net
 
     def get_or_add_net(self, name: str) -> Net:
@@ -215,6 +232,7 @@ class Netlist:
             raise ValueError(f"duplicate port name {name}")
         port = Port(name, direction, constraint)
         self._ports[name] = port
+        self._port_view = None
         return port
 
     def connect(self, net: Net, instance: Instance, pin_name: str) -> None:
@@ -247,16 +265,22 @@ class Netlist:
     # -- access ------------------------------------------------------------------
 
     @property
-    def instances(self) -> List[Instance]:
-        return list(self._instance_list)
+    def instances(self) -> Tuple[Instance, ...]:
+        if self._instance_view is None:
+            self._instance_view = tuple(self._instances.values())
+        return self._instance_view
 
     @property
-    def nets(self) -> List[Net]:
-        return list(self._net_list)
+    def nets(self) -> Tuple[Net, ...]:
+        if self._net_view is None:
+            self._net_view = tuple(self._nets.values())
+        return self._net_view
 
     @property
-    def ports(self) -> List[Port]:
-        return list(self._ports.values())
+    def ports(self) -> Tuple[Port, ...]:
+        if self._port_view is None:
+            self._port_view = tuple(self._ports.values())
+        return self._port_view
 
     def instance(self, name: str) -> Instance:
         return self._instances[name]
@@ -269,27 +293,27 @@ class Netlist:
 
     @property
     def num_instances(self) -> int:
-        return len(self._instance_list)
+        return len(self._instances)
 
     @property
     def num_nets(self) -> int:
-        return len(self._net_list)
+        return len(self._nets)
 
     def std_cells(self) -> List[Instance]:
-        return [inst for inst in self._instance_list if not inst.is_macro]
+        return [inst for inst in self.instances if not inst.is_macro]
 
     def macros(self) -> List[Instance]:
-        return [inst for inst in self._instance_list if inst.is_macro]
+        return [inst for inst in self.instances if inst.is_macro]
 
     # -- statistics --------------------------------------------------------------
 
     def std_cell_area(self) -> float:
         """Total standard-cell area in um2."""
-        return sum(inst.area for inst in self._instance_list if not inst.is_macro)
+        return sum(inst.area for inst in self.instances if not inst.is_macro)
 
     def macro_area(self) -> float:
         """Total full macro area in um2."""
-        return sum(inst.area for inst in self._instance_list if inst.is_macro)
+        return sum(inst.area for inst in self.instances if inst.is_macro)
 
     def macro_area_fraction(self) -> float:
         """Fraction of the total substrate area occupied by macros.
@@ -303,13 +327,13 @@ class Netlist:
         return self.macro_area() / total
 
     def clock_nets(self) -> List[Net]:
-        return [net for net in self._net_list if net.is_clock]
+        return [net for net in self.nets if net.is_clock]
 
     # -- validation --------------------------------------------------------------
 
     def dangling_nets(self) -> List[Net]:
         """Driven nets with no sinks (harmless; reported for inspection)."""
-        return [net for net in self._net_list
+        return [net for net in self.nets
                 if net.driver is not None and len(net.terms) < 2]
 
     def validate(self) -> None:
@@ -317,10 +341,10 @@ class Netlist:
         unconnected instance input pins).  Driven nets without sinks are
         tolerated, as in commercial flows."""
         problems: List[str] = []
-        for net in self._net_list:
+        for net in self.nets:
             if net.driver is None:
                 problems.append(f"net {net.name} has no driver")
-        for inst in self._instance_list:
+        for inst in self.instances:
             for pin in inst.master.pins:
                 if pin.direction is PinDirection.INPUT and inst.net_on(pin.name) is None:
                     problems.append(f"input pin {inst.name}.{pin.name} is unconnected")

@@ -18,9 +18,8 @@ global placement.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -49,10 +48,6 @@ def _cell_nets(inst: Instance, max_degree: int) -> List[Net]:
         for net in inst.connections.values()
         if not net.is_clock and 2 <= net.degree <= max_degree
     ]
-
-
-def _nets_hpwl(placement: Placement, nets: Sequence[Net]) -> float:
-    return sum(placement.net_hpwl(net) for net in nets)
 
 
 class _FastHpwl:
@@ -158,18 +153,24 @@ def refine_placement(
         inst.id: [net.id for net in _cell_nets(inst, max_degree)]
         for inst in movable
     }
+    mov_ids = np.array([inst.id for inst in movable], dtype=np.int64)
+    mov_width = np.array([inst.master.width for inst in movable])
 
     for _sweep in range(passes):
-        # Spatial buckets for partner lookup.
+        # Spatial buckets for partner lookup: positions in ``movable``
+        # per occupied bucket, in movable order.  ``astype`` truncates
+        # toward zero like ``int()``, so cells left of / below the
+        # outline key the same.
         outline = placement.floorplan.outline
         bucket = max(outline.width, outline.height) / 32.0
-        buckets: Dict[Tuple[int, int], List[Instance]] = {}
-        for inst in movable:
-            key = (
-                int((placement.x[inst.id] - outline.xlo) / bucket),
-                int((placement.y[inst.id] - outline.ylo) / bucket),
-            )
-            buckets.setdefault(key, []).append(inst)
+        kx = ((placement.x[mov_ids] - outline.xlo) / bucket).astype(np.int64)
+        ky = ((placement.y[mov_ids] - outline.ylo) / bucket).astype(np.int64)
+        members: Dict[Tuple[int, int], List[int]] = {}
+        for k, key in enumerate(zip(kx.tolist(), ky.tolist())):
+            members.setdefault(key, []).append(k)
+        buckets = {
+            key: np.array(ks, dtype=np.int64) for key, ks in members.items()
+        }
 
         # Stretch ranking.
         stretched: List[Tuple[float, Instance, float, float]] = []
@@ -196,38 +197,45 @@ def refine_placement(
                 int((cx - outline.xlo) / bucket),
                 int((cy - outline.ylo) / bucket),
             )
-            candidates: List[Tuple[float, Instance]] = []
-            for dx in (-1, 0, 1):
-                for dy in (-1, 0, 1):
-                    for cand in buckets.get((key[0] + dx, key[1] + dy), []):
-                        if cand is inst:
-                            continue
-                        rel = abs(cand.master.width - inst.master.width)
-                        if rel > width_tolerance * inst.master.width:
-                            continue
-                        d = abs(placement.x[cand.id] - cx) + abs(
-                            placement.y[cand.id] - cy
-                        )
-                        candidates.append((d, cand))
-            candidates.sort(key=lambda item: item[0])
-            for _d, partner in candidates[:8]:
+            # The 3x3 neighbourhood in (dx, dy) order, then the width
+            # filter and a stable sort by distance to the centroid.
+            near = [
+                buckets[k]
+                for k in (
+                    (key[0] + dx, key[1] + dy)
+                    for dx in (-1, 0, 1)
+                    for dy in (-1, 0, 1)
+                )
+                if k in buckets
+            ]
+            if not near:
+                continue
+            pos = np.concatenate(near)
+            ids = mov_ids[pos]
+            width = inst.master.width
+            keep = (ids != inst.id) & ~(
+                np.abs(mov_width[pos] - width) > width_tolerance * width
+            )
+            ids = ids[keep]
+            d = np.abs(placement.x[ids] - cx) + np.abs(placement.y[ids] - cy)
+            for partner in ids[np.argsort(d, kind="stable")[:8]].tolist():
                 # Union of both cells' nets, first-seen order (dict-keyed
                 # by name in the reference — ids are equivalent keys).
                 net_ids = list(dict.fromkeys(
-                    cell_net_ids[inst.id] + cell_net_ids[partner.id]
+                    cell_net_ids[inst.id] + cell_net_ids[partner]
                 ))
                 before = fast.nets_hpwl(net_ids)
                 ix, iy = placement.x[inst.id], placement.y[inst.id]
-                px, py = placement.x[partner.id], placement.y[partner.id]
+                px, py = placement.x[partner], placement.y[partner]
                 placement.x[inst.id], placement.y[inst.id] = px, py
-                placement.x[partner.id], placement.y[partner.id] = ix, iy
+                placement.x[partner], placement.y[partner] = ix, iy
                 after = fast.nets_hpwl(net_ids)
                 if after < before - 1e-9:
                     swaps += 1
                     moved_this_pass += 1
                     break
                 placement.x[inst.id], placement.y[inst.id] = ix, iy
-                placement.x[partner.id], placement.y[partner.id] = px, py
+                placement.x[partner], placement.y[partner] = px, py
         if moved_this_pass == 0:
             break
 

@@ -19,7 +19,6 @@ overlaps in the paper's experiments with commercial tools.
 from __future__ import annotations
 
 import inspect
-import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -29,8 +28,8 @@ import scipy.sparse.linalg as spla
 
 from repro.cells.macro import Macro
 from repro.floorplan.floorplan import Floorplan
-from repro.geom import Point, Rect
-from repro.netlist.core import Instance, Net, Netlist, Port
+from repro.geom import Point
+from repro.netlist.core import Instance, Netlist, Port
 from repro.netlist.index import NetGeometryIndex, shared_geometry
 from repro.obs import active_recorder, count, gauge
 from repro.place.capacity import CapacityGrid
@@ -163,28 +162,8 @@ class Placement:
         assert isinstance(obj, Port)
         return self.port_locations[obj.name]
 
-    def net_points(self, net: Net) -> List[Point]:
-        return [self.term_position(term) for term in net.terms]
-
-    def net_hpwl(self, net: Net) -> float:
-        points = self.net_points(net)
-        if len(points) < 2:
-            return 0.0
-        xs = [p.x for p in points]
-        ys = [p.y for p in points]
-        return (max(xs) - min(xs)) + (max(ys) - min(ys))
-
     def total_hpwl(self, include_clock: bool = False) -> float:
         return self.geometry().total_hpwl(self.x, self.y, include_clock)
-
-    def total_hpwl_reference(self, include_clock: bool = False) -> float:
-        """Scalar per-net walk; the bit-exact oracle for the index kernel."""
-        total = 0.0
-        for net in self.netlist.nets:
-            if net.is_clock and not include_clock:
-                continue
-            total += self.net_hpwl(net)
-        return total
 
     def copy(self) -> "Placement":
         clone = Placement.__new__(Placement)
@@ -211,28 +190,13 @@ class _Connectivity:
 
     def __init__(self, num_movable: int):
         self.n = num_movable
-        self.rows: List[int] = []
-        self.cols: List[int] = []
-        self.vals: List[float] = []
+        self.rows = np.empty(0, dtype=np.int64)
+        self.cols = np.empty(0, dtype=np.int64)
+        self.vals = np.empty(0)
         self.diag = np.zeros(num_movable)
         self.bx = np.zeros(num_movable)
         self.by = np.zeros(num_movable)
         self._offdiag: Optional[sp.csr_matrix] = None
-
-    def add_pair(self, i: int, j: int, w: float) -> None:
-        self.rows.append(i)
-        self.cols.append(j)
-        self.vals.append(-w)
-        self.rows.append(j)
-        self.cols.append(i)
-        self.vals.append(-w)
-        self.diag[i] += w
-        self.diag[j] += w
-
-    def add_fixed(self, i: int, fx: float, fy: float, w: float) -> None:
-        self.diag[i] += w
-        self.bx[i] += w * fx
-        self.by[i] += w * fy
 
     def matrix(self, extra_diag: np.ndarray) -> sp.csr_matrix:
         if self._offdiag is None:
@@ -244,47 +208,6 @@ class _Connectivity:
 
 #: A star net: (movable pin indices in term order, weight).
 StarNet = Tuple[np.ndarray, float]
-
-
-def _build_connectivity_reference(
-    netlist: Netlist,
-    placement: Placement,
-    movable_index: Dict[int, int],
-    options: GlobalPlacerOptions,
-) -> Tuple[_Connectivity, List[StarNet]]:
-    """Scalar quadratic-model builder: the bit-exact oracle for tests."""
-    conn = _Connectivity(len(movable_index))
-    star_nets: List[StarNet] = []
-    for net in netlist.nets:
-        if net.is_clock or net.degree < 2 or net.degree > options.ignore_degree:
-            continue
-        movers: List[int] = []
-        fixed: List[Point] = []
-        for term in net.terms:
-            obj, _pin = term
-            if isinstance(obj, Instance) and placement.movable[obj.id]:
-                movers.append(movable_index[obj.id])
-            else:
-                fixed.append(placement.term_position(term))
-        if not movers:
-            continue
-        degree = net.degree
-        if degree <= options.clique_max_degree:
-            w = 2.0 / degree
-            for a in range(len(movers)):
-                for b in range(a + 1, len(movers)):
-                    conn.add_pair(movers[a], movers[b], w)
-                for point in fixed:
-                    conn.add_fixed(movers[a], point.x, point.y, w)
-        else:
-            w = 4.0 / degree
-            if fixed:
-                fx = sum(p.x for p in fixed) / len(fixed)
-                fy = sum(p.y for p in fixed) / len(fixed)
-                for i in movers:
-                    conn.add_fixed(i, fx, fy, w)
-            star_nets.append((np.array(movers, dtype=np.int64), w))
-    return conn, star_nets
 
 
 def _exclusive_cumsum(counts: np.ndarray) -> np.ndarray:
@@ -304,10 +227,11 @@ def _build_connectivity(
     Returns the connectivity plus the list of star nets as (movable pin
     indices, weight); their centroid pulls are refreshed every iteration.
 
-    This is an array re-expression of :func:`_build_connectivity_reference`
-    that must match it bit-for-bit: COO triplets are emitted in the exact
-    append order of the scalar pair loops (so the duplicate-summing
-    ``tocsr`` sees the same sequence), and the diagonal/rhs accumulators
+    This is an array re-expression of the scalar per-net builder kept as
+    a test oracle (``tests/placer_oracles.py``) and must match it
+    bit-for-bit: COO triplets are emitted in the exact append order of
+    the scalar pair loops (so the duplicate-summing ``tocsr`` sees the
+    same sequence), and the diagonal/rhs accumulators
     are filled with ``np.add.at`` streams ordered net-by-net — floating-
     point accumulation order is part of the QoR baseline contract.
     """
@@ -595,14 +519,13 @@ def global_place(
     into fixed placement guides — see :mod:`repro.place.regions`.
     """
     placement = Placement(netlist, floorplan, port_locations)
-    movable_ids = [inst.id for inst in netlist.instances if placement.movable[inst.id]]
+    instances = netlist.instances
+    movable_ids = [inst.id for inst in instances if placement.movable[inst.id]]
     if not movable_ids:
         return placement
     movable_index = {inst_id: k for k, inst_id in enumerate(movable_ids)}
     n = len(movable_ids)
-    areas = np.array(
-        [netlist.instances[i].area for i in movable_ids]
-    )
+    areas = np.array([instances[i].area for i in movable_ids])
 
     grid = (
         CapacityGrid(floorplan, options.grid_bins, options.grid_bins)
@@ -631,7 +554,7 @@ def global_place(
     if options.module_cohesion > 0.0:
         by_module: Dict[str, List[int]] = {}
         for inst_id in movable_ids:
-            name = netlist.instances[inst_id].name
+            name = instances[inst_id].name
             module = name.split("/", 1)[0]
             by_module.setdefault(module, []).append(movable_index[inst_id])
         for module, members in by_module.items():

@@ -35,6 +35,7 @@ from repro.bench import (
     unregister_scenario,
     worst_status,
 )
+from repro.bench.artifact import THREAD_ENV_VARS, run_environment
 from repro.bench.scenarios import FLOW_RUNNERS, SIZES
 from repro.cli import build_parser, main
 
@@ -160,6 +161,51 @@ class TestArtifactSchema:
         assert artifact.lookup("stages.route.wall_s") == 6.0
         assert artifact.lookup("stages.nope.wall_s") is None
         assert artifact.lookup("ppa.nope") is None
+
+
+class TestRunEnvironment:
+    """``meta`` records what a run competed with."""
+
+    KEYS = {"nproc", "loadavg_1m", *THREAD_ENV_VARS}
+
+    def test_keys_and_thread_vars(self, monkeypatch):
+        monkeypatch.setenv("OMP_NUM_THREADS", "1")
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        env = run_environment()
+        assert set(env) == self.KEYS
+        assert int(env["nproc"]) >= 1
+        assert env["OMP_NUM_THREADS"] == "1"
+        assert env["MKL_NUM_THREADS"] == "unset"
+        if env["loadavg_1m"] != "unavailable":
+            assert float(env["loadavg_1m"]) >= 0.0
+
+    def test_round_trips_in_meta(self):
+        artifact = make_artifact(meta={"python": "3.11.0", **run_environment()})
+        again = BenchArtifact.from_json(artifact.to_json())
+        assert self.KEYS <= set(again.meta)
+        assert again.meta == artifact.meta
+
+    def test_compare_ignores_meta(self, tmp_path, capsys):
+        base = make_artifact(meta={
+            "nproc": "2", "loadavg_1m": "0.10", "OMP_NUM_THREADS": "unset",
+            "OPENBLAS_NUM_THREADS": "unset", "MKL_NUM_THREADS": "unset",
+        })
+        busy = make_artifact(meta={
+            "nproc": "64", "loadavg_1m": "31.50", "OMP_NUM_THREADS": "8",
+            "OPENBLAS_NUM_THREADS": "8", "MKL_NUM_THREADS": "1",
+        })
+        deltas = compare_artifacts(busy, base)
+        assert worst_status(deltas) == "ok"
+        assert not any(d.path.startswith("meta") for d in deltas)
+        for directory, artifact in (("out", busy), ("base", base)):
+            (tmp_path / directory).mkdir()
+            path = tmp_path / directory / artifact_filename(artifact.scenario)
+            path.write_text(artifact.to_json(), encoding="utf-8")
+        code = main([
+            "bench", "compare", "--out", str(tmp_path / "out"),
+            "--baseline", str(tmp_path / "base"), "--no-gate-time",
+        ])
+        assert code == 0
 
 
 class TestSvgRenderers:
@@ -479,6 +525,9 @@ class TestRunnerFailures:
         assert failures[0].traceback == ""
         # The artifact is valid (just slow): it stays in the results.
         assert [s.name for s, _a, _p in results] == [slow.name]
+        # A real run stamps its environment.
+        _scenario, artifact, _paths = results[0]
+        assert TestRunEnvironment.KEYS <= set(artifact.meta)
 
 
 class TestCommittedBaselines:

@@ -1,7 +1,10 @@
 """Netlist data model, generators, the OpenPiton tile, Verilog round-trip."""
 
+import pickle
+
 import pytest
 
+from repro.cache import netlist_fingerprint
 from repro.cells.stdcell import PinDirection
 from repro.netlist.core import Netlist, PortConstraint
 from repro.netlist.generator import DRIVE_AREA_FACTOR, LogicCloudBuilder
@@ -14,6 +17,7 @@ from repro.netlist.openpiton import (
     small_cache_config,
 )
 from repro.netlist.verilog import read_verilog, write_verilog
+from tests.conftest import build_mini_netlist
 
 
 class TestCore:
@@ -80,6 +84,69 @@ class TestCore:
             PortConstraint(edge="N", position=1.5)
         with pytest.raises(ValueError):
             PortConstraint(edge="N", position=0.5, io_delay_fraction=1.0)
+
+
+class TestViews:
+    """``instances``/``nets``/``ports`` are cached immutable tuples."""
+
+    #: ``netlist_fingerprint`` of ``mini_with_macro`` when the views were
+    #: fresh lists: the cached views must not change the content hash.
+    MINI_WITH_MACRO_FINGERPRINT = (
+        "4df241cf6f07ad3b2aab77f8c15777a9a00f06f62007b237427474a160e5df50"
+    )
+
+    def test_views_are_cached_tuples(self, mini_with_macro):
+        nl = mini_with_macro
+        for name in ("instances", "nets", "ports"):
+            view = getattr(nl, name)
+            assert isinstance(view, tuple)
+            assert getattr(nl, name) is view
+
+    def test_views_in_id_order(self, mini_with_macro):
+        nl = mini_with_macro
+        assert [i.id for i in nl.instances] == list(range(nl.num_instances))
+        assert [n.id for n in nl.nets] == list(range(nl.num_nets))
+
+    def test_add_rebuilds_view(self, library):
+        nl = Netlist("t")
+        inst_view, net_view, port_view = nl.instances, nl.nets, nl.ports
+        assert inst_view == net_view == port_view == ()
+        inst = nl.add_instance("a", library.cell("INV_X1"))
+        assert nl.instances is not inst_view and nl.instances == (inst,)
+        net = nl.add_net("n")
+        assert nl.nets is not net_view and nl.nets == (net,)
+        port = nl.add_port("p", PinDirection.INPUT)
+        assert nl.ports is not port_view and nl.ports == (port,)
+        # The untouched views survive an unrelated add.
+        inst_view = nl.instances
+        nl.add_net("m")
+        assert nl.instances is inst_view
+        assert [n.name for n in nl.nets] == ["n", "m"]
+
+    def test_pickle_round_trip_rebuilds_views(self, library, test_macro):
+        nl = build_mini_netlist(library, macro=test_macro)
+        _ = (nl.instances, nl.nets, nl.ports)  # build every view
+        clone = pickle.loads(pickle.dumps(nl))
+        assert [i.name for i in clone.instances] == [
+            i.name for i in nl.instances
+        ]
+        assert [n.name for n in clone.nets] == [n.name for n in nl.nets]
+        assert [p.name for p in clone.ports] == [p.name for p in nl.ports]
+        assert clone.instances is clone.instances
+        assert clone.instances[0] is clone.instance(nl.instances[0].name)
+        assert netlist_fingerprint(clone) == netlist_fingerprint(nl)
+
+    def test_pickle_size_independent_of_views(self, library, test_macro):
+        cold = build_mini_netlist(library, macro=test_macro)
+        warm = build_mini_netlist(library, macro=test_macro)
+        _ = (warm.instances, warm.nets, warm.ports)  # build every view
+        assert len(pickle.dumps(warm)) == len(pickle.dumps(cold))
+
+    def test_fingerprint_unchanged(self, library, test_macro):
+        nl = build_mini_netlist(library, macro=test_macro)
+        assert netlist_fingerprint(nl) == self.MINI_WITH_MACRO_FINGERPRINT
+        _ = (nl.instances, nl.nets, nl.ports)  # build every view
+        assert netlist_fingerprint(nl) == self.MINI_WITH_MACRO_FINGERPRINT
 
 
 class TestGenerator:

@@ -1,13 +1,17 @@
 """Property tests for the vectorized perf kernels and the parallel runner.
 
-The net-geometry index (`repro.netlist.index`) and the array-built
-quadratic model (`repro.place.global_place._build_connectivity`) must
-match their retained scalar references *bit for bit* on randomized
-netlists — floating-point accumulation order is part of the QoR
-baseline contract.  The randomized designs deliberately include the
-degenerate shapes the kernels special-case: 1-term nets, nets above
-``ignore_degree``, nets with no movable terminals, placed (fixed-pin)
-and unplaced (offset-term) macros, and port terminals.
+The net-geometry index (`repro.netlist.index`), the array-built
+quadratic model (`repro.place.global_place._build_connectivity`) and
+the array partner search of `repro.place.detailed.refine_placement`
+must match their scalar references (`tests/placer_oracles.py`) *bit
+for bit* on randomized netlists — floating-point accumulation order
+and candidate order are part of the QoR baseline contract.  The
+randomized designs deliberately include the degenerate shapes the
+kernels special-case: 1-term nets, nets above ``ignore_degree``, nets
+with no movable terminals, placed (fixed-pin) and unplaced
+(offset-term) macros, port terminals, and, for the partner search,
+tied distances, negative bucket keys, widths exactly at the tolerance
+and empty neighbourhoods.
 
 Also covered here: the scipy ``cg`` tol/rtol compat shim, the
 ``profile_call`` helper, the ``index_build`` span + ``hpwl_evals``
@@ -37,13 +41,19 @@ from repro.floorplan.floorplan import Floorplan
 from repro.geom import Point, Rect
 from repro.netlist.core import Netlist, PortConstraint
 from repro.obs import profile_call, recording
+from repro.place.detailed import refine_placement
 from repro.place.global_place import (
     _CG_TOL_KW,
     GlobalPlacerOptions,
     Placement,
     _build_connectivity,
-    _build_connectivity_reference,
     _cg,
+)
+from tests.placer_oracles import (
+    build_connectivity_reference,
+    net_points,
+    refine_placement_reference,
+    total_hpwl_reference,
 )
 
 #: Input pins of the library cells used by the random netlists (only
@@ -177,13 +187,13 @@ class TestVectorizedHpwl:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_matches_scalar_reference_exactly(self, seed):
         _netlist, placement = build_random_design(seed)
-        assert placement.total_hpwl() == placement.total_hpwl_reference()
+        assert placement.total_hpwl() == total_hpwl_reference(placement)
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_include_clock_matches_exactly(self, seed):
         _netlist, placement = build_random_design(seed)
         with_clk = placement.total_hpwl(include_clock=True)
-        assert with_clk == placement.total_hpwl_reference(include_clock=True)
+        assert with_clk == total_hpwl_reference(placement, include_clock=True)
         assert with_clk >= placement.total_hpwl()
 
     def test_net_points_match_term_positions(self):
@@ -192,7 +202,7 @@ class TestVectorizedHpwl:
         net_ids = [net.id for net in netlist.nets]
         batched = geo.net_points(placement.x, placement.y, net_ids)
         for net, points in zip(netlist.nets, batched):
-            scalar = placement.net_points(net)
+            scalar = net_points(placement, net)
             assert len(points) == len(scalar)
             for p, q in zip(points, scalar):
                 assert p.x == q.x and p.y == q.y
@@ -217,7 +227,7 @@ class TestVectorizedConnectivity:
         ]
         movable_index = {iid: k for k, iid in enumerate(movable_ids)}
         cv, sv = _build_connectivity(netlist, placement, movable_index, options)
-        cr, sr = _build_connectivity_reference(
+        cr, sr = build_connectivity_reference(
             netlist, placement, movable_index, options
         )
         assert np.array_equal(np.asarray(cv.rows), np.asarray(cr.rows))
@@ -253,6 +263,184 @@ class TestVectorizedConnectivity:
         assert cached is not None
         conn.matrix(2.0 * extra)
         assert conn._offdiag is cached
+
+
+#: Input pins of the refinement designs' cells: widths 0.8, 1.6 and
+#: 3.2 um, so ``|w_c - w_i| == width_tolerance * w_i`` holds exactly for
+#: neighbouring sizes at a tolerance of 1.0.
+REFINE_PINS = {
+    "AOI21_X1": ("A", "B", "C"),
+    "AOI21_X2": ("A", "B", "C"),
+    "INV_X8": ("A",),
+}
+
+#: Refinement layouts, each aimed at one corner of the partner search.
+REFINE_LAYOUTS = ("uniform", "lattice", "outside", "sparse")
+
+
+def build_refine_design(seed: int, layout: str):
+    """A randomized all-movable placement for the swap-refinement pass.
+
+    - ``uniform``: cells scattered over the outline;
+    - ``lattice``: coordinates snapped to a coarse lattice, so many
+      cells share a position and candidate distances tie exactly;
+    - ``outside``: about a third of the cells and every port sit left
+      of / below the outline, so cell and centroid bucket keys go
+      negative;
+    - ``sparse``: few cells, mostly empty buckets, and one cell whose
+      only net ends at a far-away port, so its whole 3x3 neighbourhood
+      is empty.
+    """
+    rng = np.random.default_rng(seed)
+    library = default_library()
+    netlist = Netlist(f"refine{seed}{layout}")
+    masters = sorted(REFINE_PINS)
+    num_cells = 60 if layout == "sparse" else 400
+    cells = [
+        netlist.add_instance(
+            f"c{i}", library.cell(masters[int(rng.integers(len(masters)))])
+        )
+        for i in range(num_cells)
+    ]
+    slots = [
+        (inst, pin) for inst in cells for pin in REFINE_PINS[inst.master.name]
+    ]
+    slots = [slots[i] for i in rng.permutation(len(slots))]
+    ports = [
+        netlist.add_port(
+            f"p{k}", PinDirection.INPUT,
+            PortConstraint(edge="W", position=(k + 1) / 10.0),
+        )
+        for k in range(8)
+    ]
+    used = 0
+    if layout == "sparse":
+        # The lone cell: one 2-term net to a port far outside the die.
+        lone = netlist.add_net("lone")
+        netlist.connect_port(lone, ports[0])
+        netlist.connect(lone, *slots[0])
+        used = 1
+    k = 0
+    while used + 6 <= len(slots):
+        net = netlist.add_net(f"n{k}")
+        if k < len(ports) - 1 and layout != "sparse":
+            netlist.connect_port(net, ports[k + 1])
+        for inst, pin in slots[used:used + int(rng.integers(2, 6))]:
+            netlist.connect(net, inst, pin)
+            used += 1
+        k += 1
+
+    outline = Rect(0.0, 0.0, 320.0, 240.0)
+    fp = Floorplan(f"fp{seed}{layout}", outline, utilization=0.8)
+    xs = rng.uniform(outline.xlo, outline.xhi, num_cells)
+    ys = rng.uniform(outline.ylo, outline.yhi, num_cells)
+    port_xy = rng.uniform(0.0, 240.0, (len(ports), 2))
+    if layout == "lattice":
+        pitch = outline.width / 40.0
+        xs = np.round(xs / pitch) * pitch
+        ys = np.round(ys / pitch) * pitch
+    elif layout == "outside":
+        shifted = rng.random(num_cells) < 1.0 / 3.0
+        xs[shifted] -= outline.width / 2.0
+        ys[shifted] -= outline.height / 2.0
+        port_xy -= 300.0
+    elif layout == "sparse":
+        port_xy[0] = (-5000.0, -5000.0)
+    port_locations = {
+        p.name: Point(float(px), float(py))
+        for p, (px, py) in zip(ports, port_xy)
+    }
+    placement = Placement(netlist, fp, port_locations)
+    placement.x[:] = xs
+    placement.y[:] = ys
+    return placement
+
+
+class TestPartnerSearch:
+    """The array partner search against the scalar per-candidate scan:
+    same swaps, same final coordinates, same HPWL double."""
+
+    @staticmethod
+    def _run_both(placement, **kwargs):
+        arr = placement.copy()
+        ref = placement.copy()
+        got = refine_placement(arr, **kwargs)
+        want = refine_placement_reference(ref, **kwargs)
+        assert arr.x.tobytes() == ref.x.tobytes()
+        assert arr.y.tobytes() == ref.y.tobytes()
+        assert got.swaps == want.swaps
+        assert got.hpwl_before == want.hpwl_before
+        assert got.hpwl_after == want.hpwl_after
+        return want
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("layout", REFINE_LAYOUTS)
+    @pytest.mark.parametrize("width_tolerance", [0.0, 0.3, 1.0])
+    def test_matches_scalar_reference_exactly(
+        self, seed, layout, width_tolerance
+    ):
+        placement = build_refine_design(seed, layout)
+        self._run_both(
+            placement, width_tolerance=width_tolerance, stretch_fraction=0.3
+        )
+
+    @pytest.mark.parametrize("layout", REFINE_LAYOUTS)
+    def test_layouts_swap(self, layout):
+        """Every layout makes the pass accept swaps, so the equality
+        checks above compare real work."""
+        swaps = sum(
+            self._run_both(build_refine_design(seed, layout)).swaps
+            for seed in SEEDS
+        )
+        assert swaps > 0
+
+    def test_layouts_hit_the_corner_cases(self):
+        bucket = 320.0 / 32.0
+        lattice = build_refine_design(0, "lattice")
+        pts = np.stack([lattice.x, lattice.y], axis=1)
+        assert np.unique(pts, axis=0).shape[0] < pts.shape[0]
+        outside = build_refine_design(0, "outside")
+        assert (np.floor(outside.x / bucket) < 0).any()
+        assert all(p.x < 0.0 for p in outside.port_locations.values())
+        sparse = build_refine_design(0, "sparse")
+        keys = {
+            (int(x / bucket), int(y / bucket))
+            for x, y in zip(sparse.x, sparse.y)
+        }
+        assert len(keys) < 32 * 32 // 10
+        widths = {inst.master.width for inst in sparse.netlist.instances}
+        assert any(
+            abs(a - b) == 1.0 * a for a in widths for b in widths if a != b
+        )
+
+    def test_no_movable_cells(self):
+        """No movable cell: both return the empty result untouched."""
+        netlist = Netlist("empty")
+        fp = Floorplan("fp", Rect(0.0, 0.0, 10.0, 10.0), utilization=0.8)
+        placement = Placement(netlist, fp, {})
+        result = self._run_both(placement)
+        assert (result.swaps, result.hpwl_before) == (0, 0.0)
+
+    @pytest.mark.slow
+    def test_matches_reference_on_medium_tile(self):
+        """The medium tier (~12k cells) after global placement and
+        legalization: realistic bucket occupancy."""
+        from repro.floorplan.macro_placer import place_macros_2d
+        from repro.floorplan.pins import place_ports
+        from repro.netlist.openpiton import build_tile, large_cache_config
+        from repro.place.global_place import global_place
+        from repro.place.legalize import legalize
+        from repro.place.regions import allocate_module_regions
+        from repro.tech.presets import hk28
+
+        tile = build_tile(large_cache_config(), scale=0.03)
+        fp = place_macros_2d(tile)
+        ports = place_ports(tile.netlist, fp.outline)
+        anchors = allocate_module_regions(tile.netlist, fp)
+        rough = global_place(tile.netlist, fp, ports, module_anchors=anchors)
+        legal = legalize(rough, hk28().row_height).placement
+        assert legal.netlist.num_instances > 10_000
+        assert self._run_both(legal).swaps > 0
 
 
 class TestCgShim:
